@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .cliques import CliqueSet
 from .graphs import (
     Graph,
     Graph6Error,
@@ -42,7 +44,7 @@ from .sweep import (
     sweep_all_graphs,
     turan_bound_campaign,
 )
-from .weights import InvariantViolation, TheoremViolation, weight_report
+from .weights import InvariantViolation, TheoremViolation, WeightReport, weight_report
 
 USAGE_ERROR = 1
 VIOLATION_ERROR = 2
@@ -94,43 +96,58 @@ def _read_graphs(source: str, input_format: str) -> list[Graph]:
     return graphs
 
 
-def _emit(args, envelope: dict, human: list[str], tsv: list[list[str]]) -> None:
+def _plain(value):
+    """JSON form of a library value, field for field.
+
+    Rationals become p/q strings, simplex points their coordinate lists,
+    clique sets their vertex lists, and dataclasses dicts keyed by field name.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, SimplexPoint):
+        return _plain(value.coords)
+    if isinstance(value, CliqueSet):
+        return list(value.vertices)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _join(items) -> str:
+    return ",".join(map(str, items))
+
+
+def _tsv(*columns) -> str:
+    return "\t".join(map(str, columns))
+
+
+def _render(args, envelope: dict, records: list[dict], human, tsv) -> int:
+    """Print the JSON envelope, or each record's human lines or TSV rows.
+
+    The renderers read only the record, which is the dict the envelope
+    carries, so all three formats print the same strings.
+    """
     if args.format == "json":
         print(json.dumps(envelope, sort_keys=True, indent=2))
-    elif args.format == "tsv":
-        for row in tsv:
-            print("\t".join(row))
     else:
-        for line in human:
-            print(line)
+        render = tsv if args.format == "tsv" else human
+        for idx, record in enumerate(records, 1):
+            for line in render(idx, record):
+                print(line)
+    return 0
 
 
-def _stats_dict(stats: SweepStats) -> dict:
-    return {
-        "n": stats.n,
-        "graphs_checked": stats.graphs_checked,
-        "violations": stats.violations,
-        "min_slack": str(stats.min_slack),
-        "tight_count": stats.tight_count,
-        "tight_examples": list(stats.tight_examples),
-        "max_total_weight": str(stats.max_total_weight),
-    }
+def _per_graph(args, envelope: dict, build, human, tsv) -> int:
+    """Build one record per input graph with ``build(idx, g)``, then render.
 
-
-def _stats_views(stats: SweepStats, header: str) -> tuple[list[str], list[list[str]]]:
-    human = [
-        header,
-        f"  graphs checked   {stats.graphs_checked}",
-        f"  violations       {stats.violations}",
-        f"  min slack        {stats.min_slack}",
-        f"  tight graphs     {stats.tight_count}",
-        f"  max total        {stats.max_total_weight}",
-    ]
-    human.extend(f"  tight example    {g6}" for g6 in stats.tight_examples)
-    tsv = [["stats", str(stats.n), str(stats.graphs_checked), str(stats.violations),
-            str(stats.min_slack), str(stats.tight_count), str(stats.max_total_weight)]]
-    tsv.extend(["tight", g6] for g6 in stats.tight_examples)
-    return human, tsv
+    Nothing is printed until every record is built, so an error on any graph
+    leaves stdout empty.
+    """
+    graphs = _read_graphs(args.input, args.input_format)
+    envelope["reports"] = [build(idx, g) for idx, g in enumerate(graphs, 1)]
+    return _render(args, envelope, envelope["reports"], human, tsv)
 
 
 def _cmd_gen(args) -> int:
@@ -148,58 +165,54 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _summary_record(rep: WeightReport) -> dict:
+    return {
+        "n": rep.n,
+        "edge_count": len(rep.records),
+        "total": str(rep.total),
+        "bound": str(rep.bound),
+        "slack": str(rep.slack),
+        "tight": rep.tight,
+    }
+
+
+def _weights_record(idx: int, g: Graph) -> dict:
+    rep = weight_report(g)
+    return {**_summary_record(rep), "records": _plain(rep.records)}
+
+
 def _cmd_weights(args) -> int:
-    graphs = _read_graphs(args.input, args.input_format)
-    reports = []
-    human: list[str] = []
-    tsv: list[list[str]] = []
-    for idx, g in enumerate(graphs, 1):
-        rep = weight_report(g)
-        reports.append({
-            "n": rep.n,
-            "edge_count": len(rep.records),
-            "records": [{"u": r.u, "v": r.v, "r": r.r, "w": str(r.w)} for r in rep.records],
-            "total": str(rep.total),
-            "bound": str(rep.bound),
-            "slack": str(rep.slack),
-            "tight": rep.tight,
-        })
-        human.append(f"graph {idx}: n={rep.n} edges={len(rep.records)}")
-        human.append("  u v r w")
-        human.extend(f"  {r.u} {r.v} {r.r} {r.w}" for r in rep.records)
-        human.append(f"  total {rep.total}")
-        human.append(f"  bound {rep.bound}")
-        human.append(f"  slack {rep.slack}{'  (tight)' if rep.tight else ''}")
-        tsv.extend([["edge", str(idx), str(r.u), str(r.v), str(r.r), str(r.w)] for r in rep.records])
-        tsv.append(["summary", str(idx), str(rep.n), str(len(rep.records)),
-                    str(rep.total), str(rep.bound), str(rep.slack)])
-    _emit(args, {"command": "weights", "reports": reports}, human, tsv)
-    return 0
+    return _per_graph(
+        args, {"command": "weights"}, _weights_record,
+        lambda idx, rep: [
+            f"graph {idx}: n={rep['n']} edges={rep['edge_count']}",
+            "  u v r w",
+            *(f"  {r['u']} {r['v']} {r['r']} {r['w']}" for r in rep["records"]),
+            f"  total {rep['total']}",
+            f"  bound {rep['bound']}",
+            f"  slack {rep['slack']}{'  (tight)' if rep['tight'] else ''}",
+        ],
+        lambda idx, rep: [
+            *(_tsv("edge", idx, r["u"], r["v"], r["r"], r["w"]) for r in rep["records"]),
+            _tsv("summary", idx, rep["n"], rep["edge_count"],
+                 rep["total"], rep["bound"], rep["slack"]),
+        ])
+
+
+def _verify_record(idx: int, g: Graph) -> dict:
+    rep = weight_report(g)
+    if rep.slack < 0:
+        raise TheoremViolation(
+            f"total weight {rep.total} exceeds bound {rep.bound} on graph {idx}", rep)
+    return _summary_record(rep)
 
 
 def _cmd_verify(args) -> int:
-    graphs = _read_graphs(args.input, args.input_format)
-    reports = []
-    human: list[str] = []
-    tsv: list[list[str]] = []
-    for idx, g in enumerate(graphs, 1):
-        rep = weight_report(g)
-        if rep.slack < 0:
-            raise TheoremViolation(
-                f"total weight {rep.total} exceeds bound {rep.bound} on graph {idx}", rep)
-        reports.append({
-            "n": rep.n,
-            "edge_count": len(rep.records),
-            "total": str(rep.total),
-            "bound": str(rep.bound),
-            "slack": str(rep.slack),
-            "tight": rep.tight,
-        })
-        human.append(f"graph {idx}: n={rep.n} slack={rep.slack} "
-                     f"(total {rep.total}, bound {rep.bound}) OK")
-        tsv.append(["verify", str(idx), str(rep.n), str(rep.total), str(rep.bound), str(rep.slack)])
-    _emit(args, {"command": "verify", "reports": reports}, human, tsv)
-    return 0
+    return _per_graph(
+        args, {"command": "verify"}, _verify_record,
+        lambda idx, rep: [f"graph {idx}: n={rep['n']} slack={rep['slack']} "
+                          f"(total {rep['total']}, bound {rep['bound']}) OK"],
+        lambda idx, rep: [_tsv("verify", idx, rep["n"], rep["total"], rep["bound"], rep["slack"])])
 
 
 def _scheme_dict(scheme: WeightScheme) -> dict:
@@ -211,37 +224,19 @@ def _scheme_dict(scheme: WeightScheme) -> dict:
 
 def _cmd_lagrangian(args) -> int:
     scheme = _parse_mode(args.mode)
-    graphs = _read_graphs(args.input, args.input_format)
-    reports = []
-    human: list[str] = []
-    tsv: list[list[str]] = []
-    for idx, g in enumerate(graphs, 1):
-        out = lagrangian_maximum(g, scheme)
-        reports.append({
-            "n": g.n,
-            "maximum": str(out.maximum),
-            "support": list(out.support.vertices),
-            "witness": [str(c) for c in out.witness.coords],
-            "candidates": [
-                {"clique": list(c.clique.vertices), "status": c.status,
-                 "value": None if c.value is None else str(c.value)}
-                for c in out.candidates
-            ],
-        })
-        human.append(f"graph {idx}: maximum {out.maximum}")
-        human.append(f"  support {','.join(map(str, out.support.vertices))}")
-        human.append(f"  witness {','.join(str(c) for c in out.witness.coords)}")
-        human.append(f"  candidates {len(out.candidates)}")
-        if args.ledger:
-            for c in out.candidates:
-                val = "-" if c.value is None else str(c.value)
-                human.append(f"    {','.join(map(str, c.clique.vertices))} {c.status} {val}")
-        tsv.append(["lagrangian", str(idx), str(out.maximum),
-                    ",".join(map(str, out.support.vertices)),
-                    ",".join(str(c) for c in out.witness.coords)])
-    envelope = {"command": "lagrangian", "scheme": _scheme_dict(scheme), "reports": reports}
-    _emit(args, envelope, human, tsv)
-    return 0
+    return _per_graph(
+        args, {"command": "lagrangian", "scheme": _scheme_dict(scheme)},
+        lambda idx, g: {"n": g.n, **_plain(lagrangian_maximum(g, scheme))},
+        lambda idx, rep: [
+            f"graph {idx}: maximum {rep['maximum']}",
+            f"  support {_join(rep['support'])}",
+            f"  witness {_join(rep['witness'])}",
+            f"  candidates {len(rep['candidates'])}",
+            *(f"    {_join(c['clique'])} {c['status']} {c['value'] or '-'}"
+              for c in rep["candidates"] if args.ledger),
+        ],
+        lambda idx, rep: [_tsv("lagrangian", idx, rep["maximum"],
+                               _join(rep["support"]), _join(rep["witness"]))])
 
 
 def _start_point(spec_text: str, n: int) -> SimplexPoint:
@@ -255,95 +250,86 @@ def _start_point(spec_text: str, n: int) -> SimplexPoint:
     return SimplexPoint(coords)
 
 
+def _reduce_record(g: Graph, scheme: WeightScheme, start: SimplexPoint) -> dict:
+    final, trace = support_reduce(g, scheme, start)
+    return {
+        "n": g.n,
+        "start": _plain(start),
+        "final": _plain(final),
+        "objective_start": str(objective_value(g, scheme, start)),
+        "objective_final": str(objective_value(g, scheme, final)),
+        "steps": _plain(trace.steps),
+    }
+
+
 def _cmd_reduce(args) -> int:
     scheme = _parse_mode(args.mode)
-    graphs = _read_graphs(args.input, args.input_format)
-    reports = []
-    human: list[str] = []
-    tsv: list[list[str]] = []
-    for idx, g in enumerate(graphs, 1):
-        start = _start_point(args.start, g.n)
-        final, trace = support_reduce(g, scheme, start)
-        f_start = objective_value(g, scheme, start)
-        f_final = objective_value(g, scheme, final)
-        reports.append({
-            "n": g.n,
-            "start": [str(c) for c in start.coords],
-            "final": [str(c) for c in final.coords],
-            "objective_start": str(f_start),
-            "objective_final": str(f_final),
-            "steps": [
-                {"i": s.i, "j": s.j, "s_i": str(s.s_i), "s_j": str(s.s_j),
-                 "f_before": str(s.f_before), "f_after": str(s.f_after),
-                 "point_after": [str(c) for c in s.point_after.coords]}
-                for s in trace
-            ],
-        })
-        human.append(f"graph {idx}: steps {len(trace)}")
-        for s in trace:
-            human.append(f"  move {s.j}->{s.i}  s_i={s.s_i} s_j={s.s_j} "
-                         f"f {s.f_before} -> {s.f_after}")
-        human.append(f"  final {','.join(str(c) for c in final.coords)}")
-        human.append(f"  objective {f_start} -> {f_final}")
-        for s in trace:
-            tsv.append(["step", str(idx), str(s.i), str(s.j), str(s.s_i), str(s.s_j),
-                        str(s.f_before), str(s.f_after)])
-        tsv.append(["final", str(idx), ",".join(str(c) for c in final.coords), str(f_final)])
-    envelope = {"command": "reduce", "scheme": _scheme_dict(scheme), "reports": reports}
-    _emit(args, envelope, human, tsv)
-    return 0
+    return _per_graph(
+        args, {"command": "reduce", "scheme": _scheme_dict(scheme)},
+        lambda idx, g: _reduce_record(g, scheme, _start_point(args.start, g.n)),
+        lambda idx, rep: [
+            f"graph {idx}: steps {len(rep['steps'])}",
+            *(f"  move {s['j']}->{s['i']}  s_i={s['s_i']} s_j={s['s_j']} "
+              f"f {s['f_before']} -> {s['f_after']}" for s in rep["steps"]),
+            f"  final {_join(rep['final'])}",
+            f"  objective {rep['objective_start']} -> {rep['objective_final']}",
+        ],
+        lambda idx, rep: [
+            *(_tsv("step", idx, s["i"], s["j"], s["s_i"], s["s_j"], s["f_before"], s["f_after"])
+              for s in rep["steps"]),
+            _tsv("final", idx, _join(rep["final"]), rep["objective_final"]),
+        ])
 
 
 def _cmd_oracle(args) -> int:
     scheme = _parse_mode(args.mode)
-    graphs = _read_graphs(args.input, args.input_format)
-    reports = []
-    human: list[str] = []
-    tsv: list[list[str]] = []
-    for idx, g in enumerate(graphs, 1):
-        value = grid_oracle(g, scheme, args.grid)
-        reports.append({"n": g.n, "value": str(value)})
-        human.append(f"graph {idx}: grid maximum {value} (resolution {args.grid})")
-        tsv.append(["oracle", str(idx), str(value)])
-    envelope = {"command": "oracle", "scheme": _scheme_dict(scheme),
-                "resolution": args.grid, "reports": reports}
-    _emit(args, envelope, human, tsv)
-    return 0
+    return _per_graph(
+        args, {"command": "oracle", "scheme": _scheme_dict(scheme), "resolution": args.grid},
+        lambda idx, g: {"n": g.n, "value": str(grid_oracle(g, scheme, args.grid))},
+        lambda idx, rep: [f"graph {idx}: grid maximum {rep['value']} (resolution {args.grid})"],
+        lambda idx, rep: [_tsv("oracle", idx, rep["value"])])
+
+
+# label of each stats field; human and TSV output both list them in this order
+_STATS_FIELDS = {
+    "graphs_checked": "graphs checked",
+    "violations": "violations",
+    "min_slack": "min slack",
+    "tight_count": "tight graphs",
+    "max_total_weight": "max total",
+}
+
+
+def _campaign(args, params: dict, stats: SweepStats, note: str = "") -> int:
+    """Render the one stats record of a sweep, fuzz or campaign run."""
+    header = " ".join([args.command, *(f"{k}={v}" for k, v in params.items())]) + note
+    record = _plain(stats)
+    envelope = {"command": args.command, "params": params, "stats": record}
+    return _render(
+        args, envelope, [record],
+        lambda idx, rec: [header,
+                          *(f"  {label:<17}{rec[key]}" for key, label in _STATS_FIELDS.items()),
+                          *(f"  tight example    {g6}" for g6 in rec["tight_examples"])],
+        lambda idx, rec: [_tsv("stats", rec["n"], *(rec[key] for key in _STATS_FIELDS)),
+                          *(_tsv("tight", g6) for g6 in rec["tight_examples"])])
 
 
 def _cmd_sweep(args) -> int:
     stats = sweep_all_graphs(args.n, cap=args.cap, jobs=args.jobs, tight_cap=args.tight_cap)
-    human, tsv = _stats_views(stats, f"sweep n={args.n}: all {stats.graphs_checked} labeled graphs")
-    envelope = {"command": "sweep", "params": {"n": args.n}, "stats": _stats_dict(stats)}
-    _emit(args, envelope, human, tsv)
-    return 0
+    return _campaign(args, {"n": args.n}, stats, f": all {stats.graphs_checked} labeled graphs")
 
 
 def _cmd_fuzz(args) -> int:
     p = _parse_rational(args.p)
     stats = fuzz_random(args.n, p, args.count, args.seed, lagrangian_cap=args.lagrangian_cap)
-    human, tsv = _stats_views(
-        stats, f"fuzz n={args.n} p={p} count={args.count} seed={args.seed}")
-    envelope = {
-        "command": "fuzz",
-        "params": {"n": args.n, "p": str(p), "count": args.count, "seed": args.seed},
-        "stats": _stats_dict(stats),
-    }
-    _emit(args, envelope, human, tsv)
-    return 0
+    params = {"n": args.n, "p": str(p), "count": args.count, "seed": args.seed}
+    return _campaign(args, params, stats)
 
 
 def _cmd_campaign(args) -> int:
     stats = turan_bound_campaign(args.n, args.r, args.count, args.seed)
-    human, tsv = _stats_views(
-        stats, f"campaign n={args.n} r={args.r} count={args.count} seed={args.seed}")
-    envelope = {
-        "command": "campaign",
-        "params": {"n": args.n, "r": args.r, "count": args.count, "seed": args.seed},
-        "stats": _stats_dict(stats),
-    }
-    _emit(args, envelope, human, tsv)
-    return 0
+    params = {"n": args.n, "r": args.r, "count": args.count, "seed": args.seed}
+    return _campaign(args, params, stats)
 
 
 def _add_io_options(sub: argparse.ArgumentParser) -> None:
@@ -446,12 +432,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(fmt: str | None, kind: str, exc: Exception) -> None:
+def _emit_error(fmt: str | None, kind: str, error: Exception | str) -> None:
     if fmt == "json":
-        payload = {"error": {"kind": kind, "message": str(exc)}}
+        payload = {"error": {"kind": kind, "message": str(error)}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     else:
-        print(f"turanweights: {kind}: {exc}", file=sys.stderr)
+        print(f"turanweights: {kind}: {error}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -470,6 +456,10 @@ def main(argv: list[str] | None = None) -> int:
         return VIOLATION_ERROR
     except (ValueError, OSError) as exc:
         _emit_error(fmt, "usage", exc)
+        return USAGE_ERROR
+    except MemoryError:
+        # an input whose size header asks for more memory than the host has
+        _emit_error(fmt, "usage", "input too large to hold in memory")
         return USAGE_ERROR
 
 

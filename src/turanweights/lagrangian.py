@@ -17,14 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .cliques import CliqueSet, _iter_clique_tuples, edge_clique_number, max_clique_size
 from .graphs import Graph
 from .linsolve import solve_linear_system
-from .weights import edge_weight
+from .weights import weight_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATUS_INTERIOR = "interior-solution"
 STATUS_NO_POSITIVE = "no-positive-solution"
@@ -105,7 +106,7 @@ def _edge_weights(g: Graph, scheme: WeightScheme) -> tuple[tuple[int, int, Fract
     """(u, v, weight) per edge, u < v, lexicographic; cached per graph+scheme."""
     if scheme.mode == "constant":
         return tuple((u, v, scheme.c) for u, v in g.edges())
-    table = [Fraction(0), Fraction(0)] + [edge_weight(r) for r in range(2, max(g.n, 2) + 1)]
+    table = weight_table(g.n)
     return tuple((u, v, table[edge_clique_number(g, u, v)]) for u, v in g.edges())
 
 
@@ -325,10 +326,14 @@ def _composition_tuples(n: int, total: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=4)
 def _cached_composition_array(n: int, total: int) -> np.ndarray:
+    import numpy as np
+
     return np.array(list(_composition_tuples(n, total)), dtype=np.int64)
 
 
 def _composition_chunks(n: int, total: int, count: int) -> Iterator[np.ndarray]:
+    import numpy as np
+
     if count * n <= 8_000_000:
         yield _cached_composition_array(n, total)
         return
@@ -365,6 +370,10 @@ def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int,
     scaled = [(u, v, int(w * scale)) for u, v, w in edge_weights]
     max_entry = max(a for _, _, a in scaled)
     if max_entry * resolution * resolution < _INT64_SAFE:
+        # imported here, not at module level: numpy is most of the package's
+        # import time, and nothing outside the grid oracle uses it
+        import numpy as np
+
         mat = np.zeros((n, n), dtype=np.int64)
         for u, v, a in scaled:
             mat[u, v] = a

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, SplitMix64, from_edge_list, random_gnp, turan_graph, write_graph6
 from .lagrangian import WeightScheme, lagrangian_maximum
@@ -119,15 +120,15 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
     """Verify the weight bound on every labeled graph on n vertices.
 
     Iterates all 2^(n(n-1)/2) adjacency masks, sharded over ``jobs`` worker
-    processes; partial results merge in shard order, so the outcome is
-    identical for any job count.
+    processes (at most one per CPU); partial results merge in shard order, so
+    the outcome is identical for any job count.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the sweep cap of {cap}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     total_masks = 1 << (n * (n - 1) // 2)
-    jobs = max(1, jobs)
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     shard_count = min(total_masks, jobs * 8)
     step = -(-total_masks // shard_count)
     shards = [(n, lo, min(lo + step, total_masks), tight_cap)
@@ -165,41 +166,18 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
     )
 
 
-def fuzz_random(n: int, p: Fraction | int, count: int, seed: int,
-                lagrangian_cap: int = DEFAULT_LAGRANGIAN_CAP) -> SweepStats:
-    """Verify the weight bound on ``count`` seeded G(n,p) draws.
-
-    Per-graph seeds come from one SplitMix64 stream seeded with ``seed``, so
-    the whole campaign is reproducible.  When n <= lagrangian_cap the exact
-    simplex maximum m is also computed and the chain
-    total/n^2 <= m <= 1/4 is checked; the weight bound is checked at every n.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    master = SplitMix64(seed)
+def _tally(n: int, checked: Iterable[tuple[Graph, Fraction, Fraction]]) -> SweepStats:
+    """Aggregate (graph, total, slack) triples, in draw order, into campaign stats."""
+    count = tight_count = 0
     min_slack: Fraction | None = None
     max_total = Fraction(0)
-    tight_count = 0
     tight_examples: list[str] = []
-    quarter = Fraction(1, 4)
-    for _ in range(count):
-        g = random_gnp(n, p, master.next64())
-        report = weight_report(g)
-        if report.slack < 0:
-            raise TheoremViolation(
-                f"weight bound violated on G({n},{p}) draw {write_graph6(g)}", report)
-        if n >= 1 and n <= lagrangian_cap:
-            outcome = lagrangian_maximum(g, WeightScheme.clique_weighted())
-            uniform_value = Fraction(report.total, n * n)
-            if not uniform_value <= outcome.maximum <= quarter:
-                raise TheoremViolation(
-                    f"simplex-maximum chain broken on {write_graph6(g)}: "
-                    f"{uniform_value} <= {outcome.maximum} <= 1/4 fails", report)
-        if min_slack is None or report.slack < min_slack:
-            min_slack = report.slack
-        if report.total > max_total:
-            max_total = report.total
-        if report.slack == 0:
+    for g, total, slack in checked:
+        count += 1
+        if min_slack is None or slack < min_slack:
+            min_slack = slack
+        max_total = max(max_total, total)
+        if slack == 0:
             tight_count += 1
             if len(tight_examples) < DEFAULT_TIGHT_CAP:
                 tight_examples.append(write_graph6(g))
@@ -212,6 +190,39 @@ def fuzz_random(n: int, p: Fraction | int, count: int, seed: int,
         tight_examples=tuple(tight_examples),
         max_total_weight=max_total,
     )
+
+
+def fuzz_random(n: int, p: Fraction | int, count: int, seed: int,
+                lagrangian_cap: int = DEFAULT_LAGRANGIAN_CAP) -> SweepStats:
+    """Verify the weight bound on ``count`` seeded G(n,p) draws.
+
+    Per-graph seeds come from one SplitMix64 stream seeded with ``seed``, so
+    the whole campaign is reproducible.  When n <= lagrangian_cap the exact
+    simplex maximum m is also computed and the chain
+    total/n^2 <= m <= 1/4 is checked; the weight bound is checked at every n.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    master = SplitMix64(seed)
+    quarter = Fraction(1, 4)
+
+    def draws() -> Iterator[tuple[Graph, Fraction, Fraction]]:
+        for _ in range(count):
+            g = random_gnp(n, p, master.next64())
+            report = weight_report(g)
+            if report.slack < 0:
+                raise TheoremViolation(
+                    f"weight bound violated on G({n},{p}) draw {write_graph6(g)}", report)
+            if n >= 1 and n <= lagrangian_cap:
+                outcome = lagrangian_maximum(g, WeightScheme.clique_weighted())
+                uniform_value = Fraction(report.total, n * n)
+                if not uniform_value <= outcome.maximum <= quarter:
+                    raise TheoremViolation(
+                        f"simplex-maximum chain broken on {write_graph6(g)}: "
+                        f"{uniform_value} <= {outcome.maximum} <= 1/4 fails", report)
+            yield g, report.total, report.slack
+
+    return _tally(n, draws())
 
 
 def turan_bound_campaign(n: int, r: int, count: int, seed: int) -> SweepStats:
@@ -231,30 +242,14 @@ def turan_bound_campaign(n: int, r: int, count: int, seed: int) -> SweepStats:
     bound = (1 - Fraction(1, r)) * Fraction(n * n, 2)
     half = Fraction(1, 2)
     rng = SplitMix64(seed)
-    min_slack: Fraction | None = None
-    max_edges = 0
-    tight_count = 0
-    tight_examples: list[str] = []
-    for _ in range(count):
-        kept = [e for e in base_edges if rng.bernoulli(half)]
-        sub = from_edge_list(n, kept)
-        if not turan_bound_check(sub, r):
-            raise CorollaryViolation(
-                f"edge bound violated on subgraph {write_graph6(sub)} of T({n},{r})")
-        slack = bound - len(kept)
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        max_edges = max(max_edges, len(kept))
-        if slack == 0:
-            tight_count += 1
-            if len(tight_examples) < DEFAULT_TIGHT_CAP:
-                tight_examples.append(write_graph6(sub))
-    return SweepStats(
-        n=n,
-        graphs_checked=count,
-        violations=0,
-        min_slack=min_slack if min_slack is not None else Fraction(0),
-        tight_count=tight_count,
-        tight_examples=tuple(tight_examples),
-        max_total_weight=Fraction(max_edges),
-    )
+
+    def draws() -> Iterator[tuple[Graph, Fraction, Fraction]]:
+        for _ in range(count):
+            kept = [e for e in base_edges if rng.bernoulli(half)]
+            sub = from_edge_list(n, kept)
+            if not turan_bound_check(sub, r):
+                raise CorollaryViolation(
+                    f"edge bound violated on subgraph {write_graph6(sub)} of T({n},{r})")
+            yield sub, Fraction(len(kept)), bound - len(kept)
+
+    return _tally(n, draws())

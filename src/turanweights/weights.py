@@ -71,6 +71,11 @@ def weight_scale(n: int) -> int:
     return lcm(*[2 * (r - 1) for r in range(2, n + 1)])
 
 
+def weight_table(n: int) -> list[Fraction]:
+    """T[r] = edge_weight(r) for r in 2..n, with T[0] = T[1] = 0."""
+    return [Fraction(0), Fraction(0)] + [edge_weight(r) for r in range(2, n + 1)]
+
+
 def scaled_weight_table(n: int) -> list[int]:
     """T[r] = weight_scale(n) * edge_weight(r), an exact integer, for r in 2..n."""
     scale = weight_scale(n)
@@ -78,7 +83,7 @@ def scaled_weight_table(n: int) -> list[int]:
 
 
 def weight_report(g: Graph) -> WeightReport:
-    weights = [Fraction(0), Fraction(0)] + [edge_weight(r) for r in range(2, max(g.n, 2) + 1)]
+    weights = weight_table(g.n)
     records = []
     total = Fraction(0)
     for u, v in g.edges():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import subprocess
 import sys
 
 from turanweights import (
@@ -234,6 +235,27 @@ class TestInputHandling:
     def test_empty_input(self):
         code, _, err = run_cli(["verify"], stdin_text="")
         assert code == 1 and "no graphs" in err
+
+    def test_oversized_edge_list_header(self):
+        code, out, err = run_cli(["verify"], stdin_text="1000000000000000 0\n")
+        assert (code, out) == (1, "")
+        assert err == "turanweights: usage: input too large to hold in memory\n"
+
+    def test_oversized_edge_list_header_json(self):
+        code, out, err = run_cli(["verify", "--format", "json"],
+                                 stdin_text="1000000000000000 0\n")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"kind": "usage",
+                                             "message": "input too large to hold in memory"}}
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy is most of the import time and only the grid oracle needs it
+        code = "import sys, turanweights.cli; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "False\n"
 
 
 class TestErrorsAndHelp:

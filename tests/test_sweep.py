@@ -59,6 +59,29 @@ class TestSweepAllGraphs:
     def test_job_count_does_not_change_results(self):
         assert sweep_all_graphs(5, jobs=1) == sweep_all_graphs(5, jobs=3)
 
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        import turanweights.sweep as sweep_mod
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(sweep_mod.multiprocessing, "Pool", FakePool)
+        assert sweep_all_graphs(5, jobs=10_000) == sweep_all_graphs(5, jobs=1)
+        assert sizes == [3]
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             sweep_all_graphs(8)

@@ -16,7 +16,7 @@ from turanweights import (
     verify_theorem,
     weight_report,
 )
-from turanweights.weights import scaled_weight_table, weight_scale
+from turanweights.weights import scaled_weight_table, weight_scale, weight_table
 
 from conftest import all_graphs
 
@@ -45,8 +45,10 @@ class TestEdgeWeight:
         for n in range(2, 17):
             scale = weight_scale(n)
             table = scaled_weight_table(n)
+            exact = weight_table(n)
+            assert len(exact) == len(table) == n + 1
             for r in range(2, n + 1):
-                assert Fraction(table[r], scale) == edge_weight(r)
+                assert Fraction(table[r], scale) == edge_weight(r) == exact[r]
 
 
 class TestWeightReport:
