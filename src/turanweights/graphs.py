@@ -82,7 +82,7 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
+    full = (1 << max(n, 0)) - 1  # a negative n is left for Graph to reject
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, lcm
+from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .cliques import CliqueSet, _iter_clique_tuples, edge_clique_number, max_clique_size
@@ -32,9 +33,12 @@ STATUS_NO_POSITIVE = "no-positive-solution"
 STATUS_SINGULAR = "singular-skipped"
 
 _INT64_SAFE = 1 << 62
+DEFAULT_CANDIDATE_CAP = 250_000
 
 
 def _as_exact(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed in exact computations")
     return Fraction(value)
@@ -76,9 +80,10 @@ class SimplexPoint:
     def __post_init__(self) -> None:
         coords = tuple(_as_exact(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
-        if any(c < 0 for c in coords):
+        den, nums = _common_denominator(coords)
+        if any(num < 0 for num in nums):
             raise ValueError("simplex coordinates must be nonnegative")
-        if coords and sum(coords) != 1:
+        if coords and sum(nums) != den:
             raise ValueError(f"simplex coordinates must sum to 1, got {sum(coords)}")
 
     @staticmethod
@@ -102,51 +107,76 @@ class SimplexPoint:
 
 
 @lru_cache(maxsize=128)
-def _edge_weights(g: Graph, scheme: WeightScheme) -> tuple[tuple[int, int, Fraction], ...]:
-    """(u, v, weight) per edge, u < v, lexicographic; cached per graph+scheme."""
+def _edge_weights(g: Graph, scheme: WeightScheme) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(scale, ((u, v, a), ...)): edge uv (u < v, lexicographic) has weight a/scale.
+
+    ``scale`` is the lcm of the denominators of the weights present, which
+    keeps the integers small; cached per graph+scheme.
+    """
     if scheme.mode == "constant":
-        return tuple((u, v, scheme.c) for u, v in g.edges())
-    table = weight_table(g.n)
-    return tuple((u, v, table[edge_clique_number(g, u, v)]) for u, v in g.edges())
+        weights = [(u, v, scheme.c) for u, v in g.edges()]
+    else:
+        table = weight_table(g.n)
+        weights = [(u, v, table[edge_clique_number(g, u, v)]) for u, v in g.edges()]
+    scale = lcm(*{w.denominator for _, _, w in weights})
+    return scale, tuple((u, v, w.numerator * (scale // w.denominator)) for u, v, w in weights)
 
 
 def weight_map(g: Graph, scheme: WeightScheme) -> dict[tuple[int, int], Fraction]:
     """Edge weights keyed by (u, v) with u < v."""
-    return {(u, v): w for u, v, w in _edge_weights(g, scheme)}
+    scale, edges = _edge_weights(g, scheme)
+    return {(u, v): Fraction(a, scale) for u, v, a in edges}
+
+
+def _weight_matrix(n: int, edges) -> list[list[int]]:
+    """n x n symmetric matrix of the scaled weights a, zero off the edges."""
+    mat = [[0] * n for _ in range(n)]
+    for u, v, a in edges:
+        mat[u][v] = mat[v][u] = a
+    return mat
+
+
+def _common_denominator(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, X): D is the lcm of the coordinates' denominators, X[i] = D * coords[i]."""
+    den = lcm(*[c.denominator for c in coords])
+    return den, [c.numerator * (den // c.denominator) for c in coords]
+
+
+def _scaled_point(g: Graph, x: SimplexPoint) -> tuple[int, list[int]]:
+    if len(x.coords) != g.n:
+        raise ValueError(f"point has {len(x.coords)} coordinates, graph has {g.n} vertices")
+    return _common_denominator(x.coords)
+
+
+def _form(edges, xs: Sequence[int]) -> int:
+    """Sum of a * X_u * X_v over the scaled edges: f = _form / (scale * D^2)."""
+    total = 0
+    for u, v, a in edges:
+        xu = xs[u]
+        if xu:
+            total += a * xu * xs[v]
+    return total
+
+
+def _side(mat: Sequence[Sequence[int]], xs: Sequence[int], i: int) -> int:
+    """Scaled weighted neighbor sum at i: s_i = _side / (scale * D)."""
+    return sum(map(mul, mat[i], xs))
 
 
 def objective_value(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> Fraction:
     """Exact value of the weighted quadratic form at x."""
-    if len(x.coords) != g.n:
-        raise ValueError(f"point has {len(x.coords)} coordinates, graph has {g.n} vertices")
-    coords = x.coords
-    total = Fraction(0)
-    for u, v, w in _edge_weights(g, scheme):
-        xu = coords[u]
-        if xu:
-            xv = coords[v]
-            if xv:
-                total += w * xu * xv
-    return total
+    den, xs = _scaled_point(g, x)
+    scale, edges = _edge_weights(g, scheme)
+    return Fraction(_form(edges, xs), scale * den * den)
 
 
 def side_sum(g: Graph, scheme: WeightScheme, x: SimplexPoint, i: int) -> Fraction:
     """Weighted neighbor sum at vertex i: the gradient component of f along x_i."""
     if not 0 <= i < g.n:
         raise IndexError(f"vertex {i} out of range for n={g.n}")
-    if len(x.coords) != g.n:
-        raise ValueError(f"point has {len(x.coords)} coordinates, graph has {g.n} vertices")
-    return _side(_edge_weights(g, scheme), x.coords, i)
-
-
-def _side(edge_weights, coords, i) -> Fraction:
-    total = Fraction(0)
-    for u, v, w in edge_weights:
-        if u == i:
-            total += w * coords[v]
-        elif v == i:
-            total += w * coords[u]
-    return total
+    den, xs = _scaled_point(g, x)
+    scale, edges = _edge_weights(g, scheme)
+    return Fraction(_side(_weight_matrix(g.n, edges), xs, i), scale * den)
 
 
 @dataclass(frozen=True)
@@ -196,32 +226,39 @@ def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[Sim
     recomputes f from scratch, so the recorded before/after values are honest
     evaluations rather than applications of the shift identity.
     """
-    if len(x.coords) != g.n:
-        raise ValueError(f"point has {len(x.coords)} coordinates, graph has {g.n} vertices")
-    edge_weights = _edge_weights(g, scheme)
+    den, xs = _scaled_point(g, x)
+    scale, edges = _edge_weights(g, scheme)
+    mat = _weight_matrix(g.n, edges)
+    s_den = scale * den
+    f_den = s_den * den
     coords = list(x.coords)
     pos = x.support_mask()
-    f_before = objective_value(g, scheme, x)
+    point = x
+    f_before = Fraction(_form(edges, xs), f_den)
     steps: list[ReductionStep] = []
     while True:
         pair = _first_nonadjacent_positive_pair(g.adj, pos)
         if pair is None:
             break
         a, b = pair
-        s_a = _side(edge_weights, coords, a)
-        s_b = _side(edge_weights, coords, b)
+        s_a = _side(mat, xs, a)
+        s_b = _side(mat, xs, b)
         if s_a >= s_b:
             i, j, s_i, s_j = a, b, s_a, s_b
         else:
             i, j, s_i, s_j = b, a, s_b, s_a
-        coords[i] += coords[j]
+        # D stays the common denominator: the shift only adds two numerators
+        xs[i] += xs[j]
+        xs[j] = 0
+        coords[i] = Fraction(xs[i], den)
         coords[j] = Fraction(0)
         pos &= ~(1 << j)
-        point_after = SimplexPoint(tuple(coords))
-        f_after = objective_value(g, scheme, point_after)
-        steps.append(ReductionStep(i, j, s_i, s_j, f_before, f_after, point_after))
+        point = SimplexPoint(tuple(coords))
+        f_after = Fraction(_form(edges, xs), f_den)
+        steps.append(ReductionStep(i, j, Fraction(s_i, s_den), Fraction(s_j, s_den),
+                                   f_before, f_after, point))
         f_before = f_after
-    return SimplexPoint(tuple(coords)), ReductionTrace(tuple(steps))
+    return point, ReductionTrace(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -241,31 +278,38 @@ class LagrangianOutcome:
     candidates: tuple[CliqueCandidate, ...] = field(repr=False)
 
 
-def _solve_clique_stationary(wdict, clique: tuple[int, ...]):
-    """Stationary point of f restricted to a clique's face.
+def _clique_stationary(scale: int, mat: Sequence[Sequence[int]], clique: tuple[int, ...]):
+    """Stationary point of f restricted to a clique's face, with w_ij = mat[i][j] / scale.
 
-    Solves { sum_{j in S, j != i} w_ij x_j = lambda for i in S; sum x_i = 1 }.
-    With all coordinates positive the common gradient value lambda satisfies
-    f = lambda/2, because sum_i x_i s_i counts every edge twice.
+    Solves { sum_{j in S, j != i} w_ij x_j = lambda for i in S; sum x_i = 1 }
+    on integer rows: each gradient row times ``scale``, in the unknowns x and
+    mu = scale * lambda.  With all coordinates positive the common gradient
+    value lambda satisfies f = lambda/2, because sum_i x_i s_i counts every
+    edge twice.
     """
     k = len(clique)
     rows = []
-    rhs = []
     for i in clique:
-        row = [wdict[(min(i, j), max(i, j))] if j != i else Fraction(0) for j in clique]
-        row.append(Fraction(-1))
+        weights = mat[i]
+        row = [weights[j] for j in clique]
+        row.append(-1)
         rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs.append(Fraction(1))
-    sol = solve_linear_system(rows, rhs)
+    rows.append([1] * k + [0])
+    sol = solve_linear_system(rows, [0] * k + [1])
     if sol is None:
         return STATUS_SINGULAR, None, None
     xs = sol[:k]
-    lam = sol[k]
-    if all(xv > 0 for xv in xs):
-        return STATUS_INTERIOR, lam / 2, xs
+    if all(xv.numerator > 0 for xv in xs):
+        return STATUS_INTERIOR, sol[k] / (2 * scale), xs
     return STATUS_NO_POSITIVE, None, None
+
+
+def _solve_clique_stationary(wdict: dict[tuple[int, int], Fraction], clique: tuple[int, ...]):
+    """_clique_stationary for weights given as a weight_map-style {(u, v): w}."""
+    scale = lcm(*[w.denominator for w in wdict.values()])
+    n = 1 + max(clique + tuple(v for _, v in wdict))
+    mat = _weight_matrix(n, [(u, v, int(w * scale)) for (u, v), w in wdict.items()])
+    return _clique_stationary(scale, mat, clique)
 
 
 def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
@@ -276,17 +320,24 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     Singular stationary systems are skipped: any value attained on a
     positive-dimensional critical family is also attained in the closure at a
     point supported on a strictly smaller clique, which is enumerated
-    separately.  Ties keep the first candidate in enumeration order.
+    separately.  Ties keep the first candidate in enumeration order.  Refuses,
+    before any solve, when the graph has more than DEFAULT_CANDIDATE_CAP
+    cliques.
     """
     if g.n == 0:
         return LagrangianOutcome(Fraction(0), CliqueSet(()), SimplexPoint(()), ())
-    wdict = weight_map(g, scheme)
+    cap = DEFAULT_CANDIDATE_CAP
+    cliques = list(islice(_iter_clique_tuples(g.adj, (1 << g.n) - 1, ()), cap + 1))
+    if len(cliques) > cap:
+        raise ValueError(f"candidate cliques exceed the cap of {cap}")
+    scale, edges = _edge_weights(g, scheme)
+    mat = _weight_matrix(g.n, edges)
     candidates: list[CliqueCandidate] = []
     best_value: Fraction | None = None
     best_clique: tuple[int, ...] = ()
     best_coords: list[Fraction] = []
-    for clique in _iter_clique_tuples(g.adj, (1 << g.n) - 1, ()):
-        status, value, coords = _solve_clique_stationary(wdict, clique)
+    for clique in cliques:
+        status, value, coords = _clique_stationary(scale, mat, clique)
         candidates.append(CliqueCandidate(CliqueSet(clique), status, value))
         if value is not None and (best_value is None or value > best_value):
             best_value, best_clique, best_coords = value, clique, coords
@@ -363,11 +414,9 @@ def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int,
     count = comb(resolution + n - 1, n - 1)
     if count > cap:
         raise ValueError(f"{count} grid points exceed the cap of {cap}")
-    edge_weights = _edge_weights(g, scheme)
-    if not edge_weights:
+    scale, scaled = _edge_weights(g, scheme)
+    if not scaled:
         return Fraction(0)
-    scale = lcm(*[w.denominator for _, _, w in edge_weights])
-    scaled = [(u, v, int(w * scale)) for u, v, w in edge_weights]
     max_entry = max(a for _, _, a in scaled)
     if max_entry * resolution * resolution < _INT64_SAFE:
         # imported here, not at module level: numpy is most of the package's

@@ -7,14 +7,17 @@ from math import lcm
 from typing import Sequence
 
 
-def solve_linear_system(rows: Sequence[Sequence[Fraction]],
-                        rhs: Sequence[Fraction]) -> list[Fraction] | None:
+def solve_linear_system(rows: Sequence[Sequence[Fraction | int]],
+                        rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
     """Solve a square rational system exactly; None when no unique solution exists.
 
-    Each row is scaled to integers, then eliminated fraction-free: with the
-    Bareiss update every intermediate entry stays an exact integer and the
-    division by the previous pivot is exact, which keeps growth polynomial.
-    Back substitution is done in rationals.
+    Each row is scaled to integers by the lcm of its denominators (1 for an
+    integral row), then eliminated fraction-free: with the Bareiss update every
+    intermediate entry stays an exact integer and the division by the
+    previous pivot is exact, which keeps growth polynomial.  Back
+    substitution is fraction-free as well: the last pivot is the determinant
+    D up to sign, so by Cramer's rule D times each unknown is an integer, and
+    one Fraction is built per unknown at the end.
     """
     k = len(rows)
     if any(len(row) != k for row in rows) or len(rhs) != k:
@@ -24,8 +27,9 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
 
     m: list[list[int]] = []
     for row, b in zip(rows, rhs):
-        den = lcm(*[Fraction(x).denominator for x in row], Fraction(b).denominator)
-        m.append([int(x * den) for x in row] + [int(b * den)])
+        den = lcm(*[x.denominator for x in row], b.denominator)
+        m.append([x.numerator * (den // x.denominator) for x in row]
+                 + [b.numerator * (den // b.denominator)])
 
     prev = 1
     for col in range(k):
@@ -35,19 +39,21 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
         pivot = m[col][col]
+        row_c = m[col]
         for r in range(col + 1, k):
-            factor = m[r][col]
             row_r = m[r]
-            row_c = m[col]
+            factor = row_r[col]
             for c in range(col + 1, k + 1):
                 row_r[c] = (pivot * row_r[c] - factor * row_c[c]) // prev
             row_r[col] = 0
         prev = pivot
 
-    out = [Fraction(0)] * k
+    det = prev
+    nums = [0] * k
     for i in range(k - 1, -1, -1):
-        acc = Fraction(m[i][k])
+        row = m[i]
+        acc = det * row[k]
         for j in range(i + 1, k):
-            acc -= m[i][j] * out[j]
-        out[i] = acc / m[i][i]
-    return out
+            acc -= row[j] * nums[j]
+        nums[i] = acc // row[i]
+    return [Fraction(num, det) for num in nums]

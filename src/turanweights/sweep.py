@@ -120,13 +120,15 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
     """Verify the weight bound on every labeled graph on n vertices.
 
     Iterates all 2^(n(n-1)/2) adjacency masks, sharded over ``jobs`` worker
-    processes (at most one per CPU); partial results merge in shard order, so
-    the outcome is identical for any job count.
+    processes (at most one per CPU and one per shard); partial results merge
+    in shard order, so the outcome is identical for any job count.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the sweep cap of {cap}")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if tight_cap < 0:
+        raise ValueError(f"tight-example cap must be nonnegative, got {tight_cap}")
     total_masks = 1 << (n * (n - 1) // 2)
     jobs = max(1, min(jobs, os.cpu_count() or 1))
     shard_count = min(total_masks, jobs * 8)
@@ -136,7 +138,7 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
     if jobs == 1 or len(shards) == 1:
         partials = [_sweep_shard(s) for s in shards]
     else:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
             partials = pool.map(_sweep_shard, shards)
 
     checked = 0

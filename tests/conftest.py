@@ -49,6 +49,23 @@ def brute_edge_clique_number(g: Graph, u: int, v: int) -> int:
     return best
 
 
+def naive_solve(rows, rhs):
+    """Plain Fraction Gaussian elimination, used only as an oracle."""
+    k = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(k):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                for c in range(col, k + 1):
+                    m[r][c] -= f * m[col][c]
+    return [m[i][k] / m[i][i] for i in range(k)]
+
+
 def random_rational_point(n: int, seed: int) -> tuple[Fraction, ...]:
     """Deterministic random simplex point with denominator-bounded coordinates."""
     rng = SplitMix64(seed)

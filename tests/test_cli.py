@@ -6,6 +6,7 @@ import sys
 
 from turanweights import (
     TheoremViolation,
+    complete_graph,
     sweep_all_graphs,
     turan_graph,
     weight_report,
@@ -56,6 +57,12 @@ class TestGen:
     def test_bad_probability_exit_1(self):
         code, _, err = run_cli(["gen", "gnp", "5", "x/y"])
         assert code == 1 and "rational" in err
+
+    def test_negative_vertex_count_exit_1(self):
+        for kind in ("complete", "empty"):
+            code, out, err = run_cli(["gen", kind, "-1"])
+            assert (code, out) == (1, "")
+            assert err == "turanweights: usage: vertex count must be nonnegative, got -1\n"
 
 
 class TestWeights:
@@ -132,6 +139,25 @@ class TestLagrangian:
         code, _, err = run_cli(["lagrangian", "--mode", "nonsense"], stdin_text="A_\n")
         assert code == 1 and "mode" in err
 
+    def test_candidate_cap_exit_1(self, monkeypatch):
+        import turanweights.lagrangian
+
+        monkeypatch.setattr(turanweights.lagrangian, "DEFAULT_CANDIDATE_CAP", 30)
+        k5 = write_graph6(complete_graph(5)) + "\n"  # 31 cliques
+        code, out, err = run_cli(["lagrangian", "--format", "json"], stdin_text=k5)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"kind": "usage",
+                                             "message": "candidate cliques exceed the cap of 30"}}
+        monkeypatch.setattr(turanweights.lagrangian, "DEFAULT_CANDIDATE_CAP", 31)
+        assert run_cli(["lagrangian", "--format", "json"], stdin_text=k5)[0] == 0
+
+    def test_k22_refused_by_default_cap(self):
+        # about 4.2 million cliques; the default cap stops the enumeration
+        k22 = write_graph6(complete_graph(22)) + "\n"
+        code, out, err = run_cli(["lagrangian"], stdin_text=k22)
+        assert (code, out) == (1, "")
+        assert err == "turanweights: usage: candidate cliques exceed the cap of 250000\n"
+
 
 class TestReduce:
     def test_path_uniform(self):
@@ -182,6 +208,12 @@ class TestSweepCommand:
     def test_cap_exit_1(self):
         code, _, err = run_cli(["sweep", "--n", "9"])
         assert code == 1
+
+    def test_negative_tight_cap_exit_1(self):
+        code, out, err = run_cli(["sweep", "--n", "3", "--tight-cap", "-1", "--format", "json"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "kind": "usage", "message": "tight-example cap must be nonnegative, got -1"}}
 
 
 class TestFuzzCommand:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from turanweights import (
     SimplexPoint,
+    SplitMix64,
     WeightScheme,
     complete_graph,
     cycle_graph,
@@ -21,14 +23,19 @@ from turanweights import (
     weight_map,
     weight_report,
 )
+import turanweights.lagrangian as lagrangian_mod
+from turanweights.cliques import _iter_clique_tuples
 from turanweights.lagrangian import (
     STATUS_INTERIOR,
     STATUS_NO_POSITIVE,
     STATUS_SINGULAR,
+    _clique_stationary,
+    _edge_weights,
     _solve_clique_stationary,
+    _weight_matrix,
 )
 
-from conftest import all_graphs, random_rational_point
+from conftest import all_graphs, naive_solve, random_rational_point
 
 CLIQUE = WeightScheme.clique_weighted()
 CONST1 = WeightScheme.constant(1)
@@ -54,6 +61,80 @@ def points_strategy(n):
     return st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(
         lambda ks: sum(ks) > 0
     ).map(lambda ks: SimplexPoint(tuple(Fraction(k, sum(ks)) for k in ks)))
+
+
+# --- slow references: the Fraction implementations the integer core replaced --
+
+
+def ref_weights(g, scheme):
+    """{(u, v): w} in Fractions, from weight_report or the scheme's constant."""
+    if scheme.mode == "constant":
+        return {e: scheme.c for e in g.edges()}
+    return {(rec.u, rec.v): rec.w for rec in weight_report(g).records}
+
+
+def ref_stationary(wdict, clique):
+    """Fraction-row stationary system, solved by plain Gaussian elimination."""
+    k = len(clique)
+    rows = []
+    for i in clique:
+        rows.append([wdict[(min(i, j), max(i, j))] if j != i else Fraction(0) for j in clique]
+                    + [Fraction(-1)])
+    rows.append([Fraction(1)] * k + [Fraction(0)])
+    sol = naive_solve(rows, [Fraction(0)] * k + [Fraction(1)])
+    if sol is None:
+        return STATUS_SINGULAR, None, None
+    xs, lam = sol[:k], sol[k]
+    if all(xv > 0 for xv in xs):
+        return STATUS_INTERIOR, lam / 2, xs
+    return STATUS_NO_POSITIVE, None, None
+
+
+def ref_objective(wdict, coords):
+    total = Fraction(0)
+    for (u, v), w in wdict.items():
+        total += w * coords[u] * coords[v]
+    return total
+
+
+def ref_side(wdict, coords, i):
+    total = Fraction(0)
+    for (u, v), w in wdict.items():
+        if u == i:
+            total += w * coords[v]
+        elif v == i:
+            total += w * coords[u]
+    return total
+
+
+def ref_support_reduce(g, wdict, coords):
+    """Mass-shift trace as (i, j, s_i, s_j, f_before, f_after, coords_after) tuples."""
+    coords = list(coords)
+    steps = []
+    f_before = ref_objective(wdict, coords)
+    while True:
+        pair = next(((a, b) for a in range(g.n) for b in range(a + 1, g.n)
+                     if coords[a] and coords[b] and not g.has_edge(a, b)), None)
+        if pair is None:
+            return steps
+        a, b = pair
+        s_a, s_b = ref_side(wdict, coords, a), ref_side(wdict, coords, b)
+        i, j = (a, b) if s_a >= s_b else (b, a)
+        s_i, s_j = max(s_a, s_b), min(s_a, s_b)
+        coords[i] += coords[j]
+        coords[j] = Fraction(0)
+        f_after = ref_objective(wdict, coords)
+        steps.append((i, j, s_i, s_j, f_before, f_after, tuple(coords)))
+        f_before = f_after
+
+
+def rational_points_strategy(n):
+    """Points whose coordinates carry unrelated denominators before normalizing."""
+    if n == 0:
+        return st.just(SimplexPoint(()))
+    parts = st.lists(st.fractions(min_value=0, max_value=5, max_denominator=40),
+                     min_size=n, max_size=n).filter(lambda xs: sum(xs) > 0)
+    return parts.map(lambda xs: SimplexPoint(tuple(x / sum(xs) for x in xs)))
 
 
 class TestWeightScheme:
@@ -291,6 +372,14 @@ class TestLagrangianMaximum:
         out = lagrangian_maximum(empty_graph(0), CLIQUE)
         assert out.maximum == 0 and out.support.vertices == () and out.candidates == ()
 
+    def test_candidate_cap(self, monkeypatch):
+        k5 = complete_graph(5)  # 31 cliques
+        monkeypatch.setattr(lagrangian_mod, "DEFAULT_CANDIDATE_CAP", 31)
+        assert len(lagrangian_maximum(k5, CLIQUE).candidates) == 31
+        monkeypatch.setattr(lagrangian_mod, "DEFAULT_CANDIDATE_CAP", 30)
+        with pytest.raises(ValueError, match="cliques exceed the cap of 30"):
+            lagrangian_maximum(k5, CLIQUE)
+
 
 class TestStationarySolver:
     def test_singleton(self):
@@ -324,6 +413,70 @@ class TestStationarySolver:
         assert sum(coords) == 1 and all(c > 0 for c in coords)
         # by symmetry of the two 3/4 edges, x1 == x2
         assert coords[1] == coords[2]
+
+
+class TestIntegerCoreMatchesReference:
+    def test_stationary_on_every_clique_up_to_6(self):
+        # every (graph, clique) pair is compared; each side is computed once
+        # per distinct input, since a solve reads only the clique's weights
+        rng = SplitMix64(6)
+        c = Fraction(1 + rng.below(97), 1 + rng.below(97))
+        for scheme in (CLIQUE, WeightScheme.constant(c)):
+            fast, slow = {}, {}
+            for n in range(7):
+                for g in all_graphs(n):
+                    scale, edges = _edge_weights(g, scheme)
+                    mat = _weight_matrix(n, edges)
+                    wdict = ref_weights(g, scheme)
+                    for clique in _iter_clique_tuples(g.adj, (1 << n) - 1, ()):
+                        fast_key = (scale, tuple(mat[i][j] for i in clique for j in clique))
+                        if fast_key not in fast:
+                            fast[fast_key] = _clique_stationary(scale, mat, clique)
+                        slow_key = tuple(wdict[e] for e in combinations(clique, 2))
+                        if slow_key not in slow:
+                            slow[slow_key] = ref_stationary(wdict, clique)
+                        assert fast[fast_key] == slow[slow_key], (g, clique)
+
+    def test_stationary_on_random_weights(self):
+        # graph weights up to n = 6 give only interior solutions; small random
+        # weights also reach the singular and no-positive branches
+        rng = SplitMix64(41)
+        seen = set()
+        for trial in range(1500):
+            clique = tuple(range(1 + rng.below(5)))
+            wdict = {e: Fraction(1 + rng.below(4), 1 + rng.below(2))
+                     for e in combinations(clique, 2)}
+            result = _solve_clique_stationary(wdict, clique)
+            assert result == ref_stationary(wdict, clique)
+            seen.add(result[0])
+        assert seen == {STATUS_INTERIOR, STATUS_NO_POSITIVE, STATUS_SINGULAR}
+
+    def test_ledger_up_to_5(self):
+        for scheme in (CLIQUE, WeightScheme.constant(Fraction(7, 5))):
+            for n in range(6):
+                for g in all_graphs(n):
+                    wdict = ref_weights(g, scheme)
+                    for cand in lagrangian_maximum(g, scheme).candidates:
+                        status, value, _ = ref_stationary(wdict, cand.clique.vertices)
+                        assert (cand.status, cand.value) == (status, value)
+
+    @given(graphs_strategy(8).flatmap(
+        lambda g: st.tuples(st.just(g), rational_points_strategy(g.n))),
+        st.one_of(st.just(CLIQUE),
+                  st.fractions(min_value=Fraction(1, 50), max_value=5,
+                               max_denominator=50).map(WeightScheme.constant)))
+    @settings(max_examples=150, deadline=None)
+    def test_support_reduce_trace(self, graph_point, scheme):
+        g, x = graph_point
+        wdict = ref_weights(g, scheme)
+        final, trace = support_reduce(g, scheme, x)
+        expected = ref_support_reduce(g, wdict, x.coords)
+        assert [(s.i, s.j, s.s_i, s.s_j, s.f_before, s.f_after, s.point_after.coords)
+                for s in trace] == expected
+        assert final.coords == (expected[-1][6] if expected else x.coords)
+        assert objective_value(g, scheme, x) == ref_objective(wdict, x.coords)
+        for i in range(g.n):
+            assert side_sum(g, scheme, x, i) == ref_side(wdict, x.coords, i)
 
 
 class TestMotzkinStrausValue:

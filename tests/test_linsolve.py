@@ -5,22 +5,7 @@ import pytest
 from turanweights import SplitMix64
 from turanweights.linsolve import solve_linear_system
 
-
-def naive_solve(rows, rhs):
-    """Plain Fraction Gaussian elimination, used only as an oracle."""
-    k = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        for r in range(k):
-            if r != col and m[r][col] != 0:
-                f = m[r][col] / m[col][col]
-                for c in range(col, k + 1):
-                    m[r][c] -= f * m[col][c]
-    return [m[i][k] / m[i][i] for i in range(k)]
+from conftest import naive_solve
 
 
 def test_two_by_two():
@@ -86,3 +71,35 @@ def test_random_fractional_systems_match_naive_oracle():
                 for _ in range(k)]
         rhs = [Fraction(rng.below(19) - 9, 1 + rng.below(7)) for _ in range(k)]
         assert solve_linear_system(rows, rhs) == naive_solve(rows, rhs)
+
+
+def test_integer_rows_match_fraction_twins():
+    # integral rows take the path that skips scaling; it must agree with the
+    # same system given as Fractions, singular systems included
+    rng = SplitMix64(909)
+    singular = 0
+    for trial in range(300):
+        k = 1 + rng.below(6)
+        rows = [[rng.below(7) - 3 for _ in range(k)] for _ in range(k)]
+        rhs = [rng.below(7) - 3 for _ in range(k)]
+        twin = solve_linear_system([[Fraction(x) for x in row] for row in rows],
+                                   [Fraction(b) for b in rhs])
+        assert solve_linear_system(rows, rhs) == twin == naive_solve(rows, rhs)
+        singular += twin is None
+    assert singular > 0
+
+
+def test_mixed_integer_and_fraction_rows():
+    rng = SplitMix64(31)
+    for trial in range(100):
+        k = 2 + rng.below(4)
+        rows = [[Fraction(rng.below(19) - 9, 1 + rng.below(5)) if r % 2 else rng.below(19) - 9
+                 for _ in range(k)] for r in range(k)]
+        rhs = [rng.below(9) - 4 for _ in range(k)]
+        assert solve_linear_system(rows, rhs) == naive_solve(rows, rhs)
+
+
+def test_integer_results_are_fractions():
+    sol = solve_linear_system([[2, 0], [0, 4]], [6, 2])
+    assert sol == [3, Fraction(1, 2)]
+    assert all(type(x) is Fraction for x in sol)

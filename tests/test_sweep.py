@@ -13,8 +13,31 @@ from turanweights import (
     weight_report,
     write_graph6,
 )
+import turanweights.sweep as sweep_mod
 
 from conftest import all_graphs
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run sweep shards in-process instead of in a Pool; returns the sizes requested."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(sweep_mod.multiprocessing, "Pool", FakePool)
+    return sizes
 
 
 class TestSweepAllGraphs:
@@ -59,28 +82,20 @@ class TestSweepAllGraphs:
     def test_job_count_does_not_change_results(self):
         assert sweep_all_graphs(5, jobs=1) == sweep_all_graphs(5, jobs=3)
 
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        import turanweights.sweep as sweep_mod
-
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(sweep_mod.multiprocessing, "Pool", FakePool)
         assert sweep_all_graphs(5, jobs=10_000) == sweep_all_graphs(5, jobs=1)
-        assert sizes == [3]
+        assert pool_sizes == [3]
+
+    def test_pool_sized_to_shards(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
+        # n = 2 has two labeled graphs, hence two one-mask shards
+        assert sweep_all_graphs(2, jobs=8) == sweep_all_graphs(2, jobs=1)
+        assert pool_sizes == [2]
+
+    def test_negative_tight_cap_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep_all_graphs(3, tight_cap=-1)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
