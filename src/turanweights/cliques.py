@@ -61,23 +61,57 @@ def _expand(adj: Sequence[int], size: int, cand: int, best: int) -> int:
     return best
 
 
-def max_clique_size_masked(adj: Sequence[int], cand: int) -> int:
-    """Exact clique number of the subgraph induced on the vertex mask."""
-    if not cand:
-        return 0
-    return _expand(adj, 0, cand, 0)
-
-
 def max_clique_size(g: Graph) -> int:
     """Exact clique number; 0 for the null graph, 1 for nonempty edgeless graphs."""
-    return max_clique_size_masked(g.adj, (1 << g.n) - 1)
+    return _expand(g.adj, 0, (1 << g.n) - 1, 0)
+
+
+# Common neighbourhoods up to this size go to the popcount search, larger ones
+# to the coloring search; README gives the timings behind the crossover.
+POPCOUNT_MAX = 14
+
+
+def _popcount_search(adj: Sequence[int], cand: int, size: int, best: int) -> int:
+    # branch and bound pruned by size + |cand|, without coloring's setup cost
+    if size > best:
+        best = size
+    while cand:
+        if size + cand.bit_count() <= best:
+            break
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        best = _popcount_search(adj, cand & adj[v], size + 1, best)
+    return best
+
+
+def _clique_number_over(adj: Sequence[int], common: int) -> int:
+    """2 + the clique number of an edge's common neighbourhood ``common``."""
+    if common.bit_count() <= POPCOUNT_MAX:
+        return 2 + _popcount_search(adj, common, 0, 0)
+    return 2 + _expand(adj, 0, common, 0)
+
+
+def edge_clique_numbers(adj: Sequence[int]) -> list[int]:
+    """Size of the largest clique containing each edge u < v, in lexicographic
+    edge order: the order of Graph.edges() and of the sweep's mask bits."""
+    out = []
+    for u, row in enumerate(adj):
+        above = row >> (u + 1) << (u + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            common = row & adj[low.bit_length() - 1]
+            c = common.bit_count()
+            # no call: most edges of the sweep's graphs have c <= 1
+            out.append(2 + c if c <= 1 else _clique_number_over(adj, common))
+    return out
 
 
 def edge_clique_number(g: Graph, u: int, v: int) -> int:
     """Size of the largest clique containing the edge (u, v); always >= 2."""
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
-    return 2 + max_clique_size_masked(g.adj, g.adj[u] & g.adj[v])
+    return _clique_number_over(g.adj, g.adj[u] & g.adj[v])
 
 
 def _iter_clique_tuples(adj: Sequence[int], cand: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -20,10 +20,11 @@ from math import comb, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .cliques import CliqueSet, _iter_clique_tuples, edge_clique_number, max_clique_size
+from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
+from .cliques import CliqueSet, _iter_clique_tuples, edge_clique_numbers, max_clique_size
 from .graphs import Graph
 from .linsolve import solve_linear_system
-from .weights import weight_table
+from .weights import scaled_weights
 
 if TYPE_CHECKING:
     import numpy as np
@@ -114,12 +115,10 @@ def _edge_weights(g: Graph, scheme: WeightScheme) -> tuple[int, tuple[tuple[int,
     keeps the integers small; cached per graph+scheme.
     """
     if scheme.mode == "constant":
-        weights = [(u, v, scheme.c) for u, v in g.edges()]
-    else:
-        table = weight_table(g.n)
-        weights = [(u, v, table[edge_clique_number(g, u, v)]) for u, v in g.edges()]
-    scale = lcm(*{w.denominator for _, _, w in weights})
-    return scale, tuple((u, v, w.numerator * (scale // w.denominator)) for u, v, w in weights)
+        return scheme.c.denominator, tuple((u, v, scheme.c.numerator) for u, v in g.edges())
+    rs = edge_clique_numbers(g.adj)
+    scale, table = scaled_weights(rs)
+    return scale, tuple((u, v, table[r]) for (u, v), r in zip(g.edges(), rs))
 
 
 def weight_map(g: Graph, scheme: WeightScheme) -> dict[tuple[int, int], Fraction]:
@@ -302,14 +301,6 @@ def _clique_stationary(scale: int, mat: Sequence[Sequence[int]], clique: tuple[i
     if all(xv.numerator > 0 for xv in xs):
         return STATUS_INTERIOR, sol[k] / (2 * scale), xs
     return STATUS_NO_POSITIVE, None, None
-
-
-def _solve_clique_stationary(wdict: dict[tuple[int, int], Fraction], clique: tuple[int, ...]):
-    """_clique_stationary for weights given as a weight_map-style {(u, v): w}."""
-    scale = lcm(*[w.denominator for w in wdict.values()])
-    n = 1 + max(clique + tuple(v for _, v in wdict))
-    mat = _weight_matrix(n, [(u, v, int(w * scale)) for (u, v), w in wdict.items()])
-    return _clique_stationary(scale, mat, clique)
 
 
 def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:

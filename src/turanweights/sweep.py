@@ -6,17 +6,17 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
+from .cliques import edge_clique_numbers
 from .graphs import Graph, SplitMix64, from_edge_list, random_gnp, turan_graph, write_graph6
 from .lagrangian import WeightScheme, lagrangian_maximum
 from .weights import (
     CorollaryViolation,
     TheoremViolation,
-    scaled_weight_table,
+    scaled_weights,
     turan_bound_check,
     weight_report,
-    weight_scale,
 )
 
 DEFAULT_SWEEP_CAP = 7
@@ -59,29 +59,12 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _clique_size_plain(adj: Sequence[int], cand: int, size: int, best: int) -> int:
-    # popcount-pruned exact search; faster than the coloring engine on the
-    # tiny candidate sets the sweep generates, and cross-checked against it
-    if size > best:
-        best = size
-    while cand:
-        if size + cand.bit_count() <= best:
-            break
-        v = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        best = _clique_size_plain(adj, cand & adj[v], size + 1, best)
-    return best
-
-
 def _sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, int, list[int], int | None]:
     """Check masks in [lo, hi); return (checked, tight, max_total_scaled,
     tight_masks up to cap, first violating mask or None)."""
     n, lo, hi, tight_cap = args
     pairs = mask_pairs(n)
-    bit_u = [p[0] for p in pairs]
-    bit_v = [p[1] for p in pairs]
-    table = scaled_weight_table(n)
-    scale = weight_scale(n)
+    scale, table = scaled_weights(range(2, n + 1))
     bound4 = n * n * scale  # slack >= 0  iff  4 * total_scaled <= bound4
     tight = 0
     max_total = 0
@@ -92,16 +75,11 @@ def _sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, int, list[i
         while mm:
             b = (mm & -mm).bit_length() - 1
             mm &= mm - 1
-            u, v = bit_u[b], bit_v[b]
+            u, v = pairs[b]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         total = 0
-        mm = mask
-        while mm:
-            b = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            common = adj[bit_u[b]] & adj[bit_v[b]]
-            r = 2 + _clique_size_plain(adj, common, 0, 0) if common else 2
+        for r in edge_clique_numbers(adj):
             total += table[r]
         quad = 4 * total
         if quad > bound4:
@@ -129,8 +107,10 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
         raise ValueError("n must be nonnegative")
     if tight_cap < 0:
         raise ValueError(f"tight-example cap must be nonnegative, got {tight_cap}")
+    if jobs < 1:
+        raise ValueError(f"job count must be >= 1, got {jobs}")
     total_masks = 1 << (n * (n - 1) // 2)
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    jobs = min(jobs, os.cpu_count() or 1)
     shard_count = min(total_masks, jobs * 8)
     step = -(-total_masks // shard_count)
     shards = [(n, lo, min(lo + step, total_masks), tight_cap)
@@ -154,7 +134,7 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
             g6 = write_graph6(graph_from_mask(n, violation))
             raise TheoremViolation(f"weight bound violated on n={n} graph {g6}",
                                    weight_report(graph_from_mask(n, violation)))
-    scale = weight_scale(n)
+    scale, _ = scaled_weights(range(2, n + 1))
     max_weight = Fraction(max_total, scale)
     bound = Fraction(n * n, 4)
     return SweepStats(

@@ -2,7 +2,8 @@
 
 Every edge gets weight r/(2(r-1)) where r is the size of the largest clique
 containing it; the total over all edges never exceeds n^2/4.  All arithmetic
-is exact rational (fractions.Fraction); no floating point enters this module.
+is exact: Fractions, or integers over a common denominator; no floating point
+enters this module.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
-from .cliques import edge_clique_number, max_clique_size
+from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
+from .cliques import edge_clique_numbers, max_clique_size
 from .graphs import Graph
 
 
@@ -64,35 +67,26 @@ def edge_weight(r: int) -> Fraction:
     return Fraction(r, 2 * (r - 1))
 
 
-def weight_scale(n: int) -> int:
-    """Common denominator of all edge weights possible on n vertices."""
-    if n < 2:
-        return 1
-    return lcm(*[2 * (r - 1) for r in range(2, n + 1)])
-
-
-def weight_table(n: int) -> list[Fraction]:
-    """T[r] = edge_weight(r) for r in 2..n, with T[0] = T[1] = 0."""
-    return [Fraction(0), Fraction(0)] + [edge_weight(r) for r in range(2, n + 1)]
-
-
-def scaled_weight_table(n: int) -> list[int]:
-    """T[r] = weight_scale(n) * edge_weight(r), an exact integer, for r in 2..n."""
-    scale = weight_scale(n)
-    return [0, 0] + [scale * r // (2 * (r - 1)) for r in range(2, n + 1)]
+def scaled_weights(rs: Iterable[int]) -> tuple[int, list[int]]:
+    """(scale, T) for the clique numbers ``rs``: ``scale`` is the lcm of the
+    denominators of their weights and T[r] = scale * edge_weight(r), an exact
+    integer, for each r in ``rs`` (0 at every other index)."""
+    weights = {r: edge_weight(r) for r in set(rs)}
+    scale = lcm(*[w.denominator for w in weights.values()])
+    table = [0] * (max(weights, default=1) + 1)
+    for r, w in weights.items():
+        table[r] = w.numerator * (scale // w.denominator)
+    return scale, table
 
 
 def weight_report(g: Graph) -> WeightReport:
-    weights = weight_table(g.n)
-    records = []
-    total = Fraction(0)
-    for u, v in g.edges():
-        r = edge_clique_number(g, u, v)
-        w = weights[r]
-        records.append(EdgeWeightRecord(u, v, r, w))
-        total += w
+    rs = edge_clique_numbers(g.adj)
+    scale, table = scaled_weights(rs)
+    weights = [Fraction(a, scale) for a in table]
+    records = tuple(EdgeWeightRecord(u, v, r, weights[r]) for (u, v), r in zip(g.edges(), rs))
+    total = Fraction(sum(table[r] for r in rs), scale)
     bound = Fraction(g.n * g.n, 4)
-    return WeightReport(g.n, tuple(records), total, bound, bound - total)
+    return WeightReport(g.n, records, total, bound, bound - total)
 
 
 def verify_theorem(g: Graph) -> Fraction:

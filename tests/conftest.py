@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 import pytest
 
 from turanweights import Graph, SplitMix64, graph_from_mask
+from turanweights.lagrangian import _clique_stationary, _weight_matrix
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
@@ -49,6 +51,12 @@ def brute_edge_clique_number(g: Graph, u: int, v: int) -> int:
     return best
 
 
+def brute_edge_clique_numbers(g: Graph) -> list[int]:
+    """brute_edge_clique_number of every edge, in g.edges() order, from one clique list."""
+    cliques = brute_clique_masks(g)
+    return [max(m.bit_count() for m in cliques if m >> u & m >> v & 1) for u, v in g.edges()]
+
+
 def naive_solve(rows, rhs):
     """Plain Fraction Gaussian elimination, used only as an oracle."""
     k = len(rows)
@@ -64,6 +72,14 @@ def naive_solve(rows, rhs):
                 for c in range(col, k + 1):
                     m[r][c] -= f * m[col][c]
     return [m[i][k] / m[i][i] for i in range(k)]
+
+
+def _solve_clique_stationary(wdict: dict[tuple[int, int], Fraction], clique: tuple[int, ...]):
+    """lagrangian._clique_stationary for weights given as a weight_map-style {(u, v): w}."""
+    scale = lcm(*[w.denominator for w in wdict.values()])
+    n = 1 + max(clique + tuple(v for _, v in wdict))
+    mat = _weight_matrix(n, [(u, v, int(w * scale)) for (u, v), w in wdict.items()])
+    return _clique_stationary(scale, mat, clique)
 
 
 def random_rational_point(n: int, seed: int) -> tuple[Fraction, ...]:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from turanweights import (
     TheoremViolation,
     complete_graph,
@@ -214,6 +216,15 @@ class TestSweepCommand:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": {
             "kind": "usage", "message": "tight-example cap must be nonnegative, got -1"}}
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_nonpositive_jobs_exit_1(self, jobs):
+        message = f"job count must be >= 1, got {jobs}"
+        code, out, err = run_cli(["sweep", "--n", "3", "--jobs", jobs])
+        assert (code, out, err) == (1, "", f"turanweights: usage: {message}\n")
+        code, out, err = run_cli(["sweep", "--n", "3", "--jobs", jobs, "--format", "json"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"kind": "usage", "message": message}}
 
 
 class TestFuzzCommand:

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,16 +12,21 @@ from turanweights import (
     edge_clique_number,
     empty_graph,
     enumerate_cliques,
+    from_edge_list,
     graph_from_mask,
     max_clique_size,
     maximal_cliques,
 )
-from turanweights.graphs import mask_of
+import turanweights.cliques as cliques_mod
+from turanweights.cliques import POPCOUNT_MAX, _expand, edge_clique_numbers
+from turanweights.graphs import mask_of, random_gnp
+from turanweights.sweep import mask_pairs
 
 from conftest import (
     all_graphs,
     brute_clique_masks,
     brute_edge_clique_number,
+    brute_edge_clique_numbers,
     brute_max_clique,
     is_clique_mask,
 )
@@ -78,6 +86,52 @@ class TestEdgeCliqueNumber:
                 assert all(r <= omega for r in numbers)
                 if omega >= 2:
                     assert omega in numbers
+
+
+def coloring_edge_clique_numbers(g):
+    """The coloring search alone, run on every edge's common neighbourhood."""
+    return [2 + _expand(g.adj, 0, g.adj[u] & g.adj[v], 0) for u, v in g.edges()]
+
+
+class TestEdgeCliqueNumbers:
+    # every crossover gives the same numbers; 1 sends every common
+    # neighbourhood of two or more vertices to the coloring search
+    @pytest.mark.parametrize("crossover", [1, POPCOUNT_MAX])
+    def test_against_brute_force_up_to_6(self, crossover):
+        with mock.patch.object(cliques_mod, "POPCOUNT_MAX", crossover):
+            for n in range(7):
+                for g in all_graphs(n):
+                    assert edge_clique_numbers(g.adj) == brute_edge_clique_numbers(g), g
+
+    def test_against_coloring_search_on_gnp(self):
+        sizes = set()
+        for n in (30, 40, 60):
+            for p in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
+                g = random_gnp(n, p, 7)
+                assert edge_clique_numbers(g.adj) == coloring_edge_clique_numbers(g), (n, p)
+                sizes.update((g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges())
+        # common neighbourhoods fall on both sides of the crossover
+        assert any(2 <= c <= POPCOUNT_MAX for c in sizes)
+        assert any(c > POPCOUNT_MAX for c in sizes)
+
+    def test_order_is_edge_order_and_mask_bit_order(self):
+        # r = 4 on the K4, 3 on the triangle, 2 on the pendant edges
+        g = from_edge_list(9, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                               (3, 8), (4, 5), (4, 6), (5, 6), (6, 7)])
+        assert edge_clique_numbers(g.adj) == [
+            edge_clique_number(g, u, v) for u, v in g.edges()] == [4, 4, 4, 4, 4, 4, 2, 3, 3, 3, 2]
+        pairs = mask_pairs(g.n)
+        mask = sum(1 << pairs.index(e) for e in g.edges())
+        assert [pairs[b] for b in range(len(pairs)) if mask >> b & 1] == list(g.edges())
+
+
+@given(st.integers(0, 12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_edge_clique_numbers_match_brute_force(n, data):
+    g = graph_from_mask(n, data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    expected = brute_edge_clique_numbers(g)
+    assert edge_clique_numbers(g.adj) == expected
+    assert [edge_clique_number(g, u, v) for u, v in g.edges()] == expected
 
 
 class TestEnumerateCliques:

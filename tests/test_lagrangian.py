@@ -31,11 +31,10 @@ from turanweights.lagrangian import (
     STATUS_SINGULAR,
     _clique_stationary,
     _edge_weights,
-    _solve_clique_stationary,
     _weight_matrix,
 )
 
-from conftest import all_graphs, naive_solve, random_rational_point
+from conftest import _solve_clique_stationary, all_graphs, naive_solve, random_rational_point
 
 CLIQUE = WeightScheme.clique_weighted()
 CONST1 = WeightScheme.constant(1)

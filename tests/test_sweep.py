@@ -97,6 +97,11 @@ class TestSweepAllGraphs:
         with pytest.raises(ValueError, match="nonnegative"):
             sweep_all_graphs(3, tight_cap=-1)
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"job count must be >= 1, got {jobs}"):
+            sweep_all_graphs(3, jobs=jobs)
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             sweep_all_graphs(8)

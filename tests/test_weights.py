@@ -16,7 +16,7 @@ from turanweights import (
     verify_theorem,
     weight_report,
 )
-from turanweights.weights import scaled_weight_table, weight_scale, weight_table
+from turanweights.weights import scaled_weights
 
 from conftest import all_graphs
 
@@ -43,12 +43,16 @@ class TestEdgeWeight:
 
     def test_scaled_table_agrees(self):
         for n in range(2, 17):
-            scale = weight_scale(n)
-            table = scaled_weight_table(n)
-            exact = weight_table(n)
-            assert len(exact) == len(table) == n + 1
+            scale, table = scaled_weights(range(2, n + 1))
+            assert len(table) == n + 1
             for r in range(2, n + 1):
-                assert Fraction(table[r], scale) == edge_weight(r) == exact[r]
+                assert type(table[r]) is int and table[r] == scale * edge_weight(r)
+
+    def test_scale_is_lcm_of_weights_given(self):
+        assert scaled_weights(range(2, 8)) == (120, [0, 0, 120, 90, 80, 75, 72, 70])
+        # 3/4 and 5/8: weights of r not given read 0
+        assert scaled_weights([5, 3, 5]) == (8, [0, 0, 0, 6, 0, 5])
+        assert scaled_weights([]) == (1, [0, 0])
 
 
 class TestWeightReport:
