@@ -236,10 +236,7 @@ def parse_graph6(text: str) -> Graph:
     for v in range(1, n):
         for u in range(v):
             if bits == 0:
-                c = ord(data[pos]) - 63
-                if c < 0 or c > 63:
-                    raise Graph6Error("character out of graph6 range (63..126)")
-                bitbuf = c
+                bitbuf = ord(data[pos]) - 63
                 bits = 6
                 pos += 1
             bits -= 1

@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
 from .cliques import CliqueSet, _iter_clique_tuples, edge_clique_numbers, max_clique_size
-from .graphs import Graph
+from .graphs import Graph, write_graph6
 from .linsolve import solve_linear_system
-from .weights import scaled_weights
+from .weights import InvariantViolation, scaled_weights
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,6 +35,7 @@ STATUS_SINGULAR = "singular-skipped"
 
 _INT64_SAFE = 1 << 62
 DEFAULT_CANDIDATE_CAP = 250_000
+GRID_POINT_CAP = 5_000_000
 
 
 def _as_exact(value) -> Fraction:
@@ -223,7 +224,8 @@ def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[Sim
     Pairs are chosen lexicographically; mass moves onto the endpoint with the
     larger weighted neighbor sum (ties toward the smaller index).  Each step
     recomputes f from scratch, so the recorded before/after values are honest
-    evaluations rather than applications of the shift identity.
+    evaluations rather than applications of the shift identity; a step whose
+    f decreases contradicts that identity and raises InvariantViolation.
     """
     den, xs = _scaled_point(g, x)
     scale, edges = _edge_weights(g, scheme)
@@ -233,7 +235,7 @@ def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[Sim
     coords = list(x.coords)
     pos = x.support_mask()
     point = x
-    f_before = Fraction(_form(edges, xs), f_den)
+    form_before = _form(edges, xs)
     steps: list[ReductionStep] = []
     while True:
         pair = _first_nonadjacent_positive_pair(g.adj, pos)
@@ -249,14 +251,19 @@ def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[Sim
         # D stays the common denominator: the shift only adds two numerators
         xs[i] += xs[j]
         xs[j] = 0
+        form_after = _form(edges, xs)
+        if form_after < form_before:
+            raise InvariantViolation(
+                f"support reduction step {len(steps) + 1} ({j}->{i}) decreased f "
+                f"on graph {write_graph6(g)}")
         coords[i] = Fraction(xs[i], den)
         coords[j] = Fraction(0)
         pos &= ~(1 << j)
         point = SimplexPoint(tuple(coords))
-        f_after = Fraction(_form(edges, xs), f_den)
         steps.append(ReductionStep(i, j, Fraction(s_i, s_den), Fraction(s_j, s_den),
-                                   f_before, f_after, point))
-        f_before = f_after
+                                   Fraction(form_before, f_den), Fraction(form_after, f_den),
+                                   point))
+        form_before = form_after
     return point, ReductionTrace(tuple(steps))
 
 
@@ -389,13 +396,12 @@ def _composition_chunks(n: int, total: int, count: int) -> Iterator[np.ndarray]:
         yield np.array(buf, dtype=np.int64)
 
 
-def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int,
-                cap: int = 5_000_000) -> Fraction:
+def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int) -> Fraction:
     """Exact maximum of f over simplex points with coordinates k/resolution.
 
     A lower-bound oracle for lagrangian_maximum that shares none of its code
     path: it exhaustively evaluates the scaled-integer quadratic form at every
-    grid point.  Refuses when the number of grid points exceeds ``cap``.
+    grid point.  Refuses when the number of grid points exceeds GRID_POINT_CAP.
     """
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
@@ -403,6 +409,7 @@ def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int,
     if n == 0:
         return Fraction(0)
     count = comb(resolution + n - 1, n - 1)
+    cap = GRID_POINT_CAP
     if count > cap:
         raise ValueError(f"{count} grid points exceed the cap of {cap}")
     scale, scaled = _edge_weights(g, scheme)
@@ -426,11 +433,5 @@ def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int,
                 best = top
         return Fraction(best, 2 * scale * resolution * resolution)
     # big-integer fallback for weights whose scaled values could overflow int64
-    best = 0
-    for t in _composition_tuples(n, resolution):
-        s = 0
-        for u, v, a in scaled:
-            s += a * t[u] * t[v]
-        if s > best:
-            best = s
+    best = max(_form(scaled, t) for t in _composition_tuples(n, resolution))
     return Fraction(best, scale * resolution * resolution)

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .cliques import edge_clique_numbers
@@ -13,7 +14,7 @@ from .graphs import Graph, SplitMix64, from_edge_list, random_gnp, turan_graph, 
 from .lagrangian import WeightScheme, lagrangian_maximum
 from .weights import (
     CorollaryViolation,
-    TheoremViolation,
+    InvariantViolation,
     scaled_weights,
     turan_bound_check,
     weight_report,
@@ -40,6 +41,10 @@ class SweepStats:
     tight_count: int
     tight_examples: tuple[str, ...]
     max_total_weight: Fraction
+
+
+# one part of a campaign: (graphs checked, tight count, max total, tight graphs)
+Part = tuple[int, int, Fraction, Iterable[Graph]]
 
 
 def mask_pairs(n: int) -> list[tuple[int, int]]:
@@ -121,55 +126,42 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
         with multiprocessing.Pool(min(jobs, len(shards))) as pool:
             partials = pool.map(_sweep_shard, shards)
 
-    checked = 0
-    tight_count = 0
-    max_total = 0
-    tight_masks: list[int] = []
-    for part_checked, part_tight, part_max, part_masks, violation in partials:
-        checked += part_checked
-        tight_count += part_tight
-        max_total = max(max_total, part_max)
-        tight_masks.extend(part_masks)
-        if violation is not None:
-            g6 = write_graph6(graph_from_mask(n, violation))
-            raise TheoremViolation(f"weight bound violated on n={n} graph {g6}",
-                                   weight_report(graph_from_mask(n, violation)))
     scale, _ = scaled_weights(range(2, n + 1))
-    max_weight = Fraction(max_total, scale)
-    bound = Fraction(n * n, 4)
+    parts = []
+    for checked, tight, max_total, tight_masks, violation in partials:
+        if violation is not None:
+            # weight_report raises when the rational path sees the violation too
+            g = graph_from_mask(n, violation)
+            weight_report(g)
+            raise InvariantViolation(
+                f"sweep total disagrees with weight_report on graph {write_graph6(g)}")
+        parts.append((checked, tight, Fraction(max_total, scale),
+                      (graph_from_mask(n, m) for m in tight_masks)))
+    return _tally(n, Fraction(n * n, 4), parts, tight_cap)
+
+
+def _tally(n: int, bound: Fraction, parts: Iterable[Part], tight_cap: int) -> SweepStats:
+    """Merge (checked, tight, max_total, tight_graphs) parts, in order, into campaign stats.
+
+    Every graph of a campaign is measured against the one ``bound``, so the
+    minimum slack is ``bound - max_total``; only the first ``tight_cap`` tight
+    graphs are encoded.
+    """
+    checked = tight = 0
+    max_total = Fraction(0)
+    examples: list[Graph] = []
+    for part_checked, part_tight, part_max, part_graphs in parts:
+        checked += part_checked
+        tight += part_tight
+        max_total = max(max_total, part_max)
+        examples.extend(islice(part_graphs, tight_cap - len(examples)))
     return SweepStats(
         n=n,
         graphs_checked=checked,
         violations=0,
-        min_slack=bound - max_weight,
-        tight_count=tight_count,
-        tight_examples=tuple(write_graph6(graph_from_mask(n, m)) for m in tight_masks[:tight_cap]),
-        max_total_weight=max_weight,
-    )
-
-
-def _tally(n: int, checked: Iterable[tuple[Graph, Fraction, Fraction]]) -> SweepStats:
-    """Aggregate (graph, total, slack) triples, in draw order, into campaign stats."""
-    count = tight_count = 0
-    min_slack: Fraction | None = None
-    max_total = Fraction(0)
-    tight_examples: list[str] = []
-    for g, total, slack in checked:
-        count += 1
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        max_total = max(max_total, total)
-        if slack == 0:
-            tight_count += 1
-            if len(tight_examples) < DEFAULT_TIGHT_CAP:
-                tight_examples.append(write_graph6(g))
-    return SweepStats(
-        n=n,
-        graphs_checked=count,
-        violations=0,
-        min_slack=min_slack if min_slack is not None else Fraction(0),
-        tight_count=tight_count,
-        tight_examples=tuple(tight_examples),
+        min_slack=bound - max_total,
+        tight_count=tight,
+        tight_examples=tuple(write_graph6(g) for g in examples),
         max_total_weight=max_total,
     )
 
@@ -188,23 +180,20 @@ def fuzz_random(n: int, p: Fraction | int, count: int, seed: int,
     master = SplitMix64(seed)
     quarter = Fraction(1, 4)
 
-    def draws() -> Iterator[tuple[Graph, Fraction, Fraction]]:
+    def draws() -> Iterator[Part]:
         for _ in range(count):
             g = random_gnp(n, p, master.next64())
             report = weight_report(g)
-            if report.slack < 0:
-                raise TheoremViolation(
-                    f"weight bound violated on G({n},{p}) draw {write_graph6(g)}", report)
             if n >= 1 and n <= lagrangian_cap:
                 outcome = lagrangian_maximum(g, WeightScheme.clique_weighted())
                 uniform_value = Fraction(report.total, n * n)
                 if not uniform_value <= outcome.maximum <= quarter:
-                    raise TheoremViolation(
+                    raise InvariantViolation(
                         f"simplex-maximum chain broken on {write_graph6(g)}: "
-                        f"{uniform_value} <= {outcome.maximum} <= 1/4 fails", report)
-            yield g, report.total, report.slack
+                        f"{uniform_value} <= {outcome.maximum} <= 1/4 fails")
+            yield 1, int(report.tight), report.total, [g] if report.tight else []
 
-    return _tally(n, draws())
+    return _tally(n, Fraction(n * n, 4), draws(), DEFAULT_TIGHT_CAP)
 
 
 def turan_bound_campaign(n: int, r: int, count: int, seed: int) -> SweepStats:
@@ -225,13 +214,14 @@ def turan_bound_campaign(n: int, r: int, count: int, seed: int) -> SweepStats:
     half = Fraction(1, 2)
     rng = SplitMix64(seed)
 
-    def draws() -> Iterator[tuple[Graph, Fraction, Fraction]]:
+    def draws() -> Iterator[Part]:
         for _ in range(count):
             kept = [e for e in base_edges if rng.bernoulli(half)]
             sub = from_edge_list(n, kept)
             if not turan_bound_check(sub, r):
                 raise CorollaryViolation(
                     f"edge bound violated on subgraph {write_graph6(sub)} of T({n},{r})")
-            yield sub, Fraction(len(kept)), bound - len(kept)
+            tight = len(kept) == bound
+            yield 1, int(tight), Fraction(len(kept)), [sub] if tight else []
 
-    return _tally(n, draws())
+    return _tally(n, bound, draws(), DEFAULT_TIGHT_CAP)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
 from .cliques import edge_clique_numbers, max_clique_size
-from .graphs import Graph
+from .graphs import Graph, write_graph6
 
 
 class InvariantViolation(Exception):
@@ -80,24 +80,27 @@ def scaled_weights(rs: Iterable[int]) -> tuple[int, list[int]]:
 
 
 def weight_report(g: Graph) -> WeightReport:
+    """Per-edge weights of g and their total against n^2/4.
+
+    This is where the theorem is checked: a total above the bound raises
+    TheoremViolation naming the graph in graph6.
+    """
     rs = edge_clique_numbers(g.adj)
     scale, table = scaled_weights(rs)
     weights = [Fraction(a, scale) for a in table]
     records = tuple(EdgeWeightRecord(u, v, r, weights[r]) for (u, v), r in zip(g.edges(), rs))
     total = Fraction(sum(table[r] for r in rs), scale)
     bound = Fraction(g.n * g.n, 4)
-    return WeightReport(g.n, records, total, bound, bound - total)
+    report = WeightReport(g.n, records, total, bound, bound - total)
+    if report.slack < 0:
+        raise TheoremViolation(
+            f"total weight {total} exceeds bound {bound} on graph {write_graph6(g)}", report)
+    return report
 
 
 def verify_theorem(g: Graph) -> Fraction:
     """Exact slack n^2/4 - total weight; raises if it is ever negative."""
-    report = weight_report(g)
-    if report.slack < 0:
-        raise TheoremViolation(
-            f"total weight {report.total} exceeds bound {report.bound} on n={report.n}",
-            report,
-        )
-    return report.slack
+    return weight_report(g).slack
 
 
 def turan_bound_check(g: Graph, r: int) -> bool:

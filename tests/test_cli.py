@@ -3,12 +3,16 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from turanweights import (
     TheoremViolation,
     complete_graph,
+    from_edge_list,
+    graph_from_mask,
     sweep_all_graphs,
     turan_graph,
     weight_report,
@@ -115,6 +119,90 @@ class TestVerify:
         monkeypatch.setattr(cli_mod, "weight_report", bomb)
         code, _, err = run_cli(["verify"], stdin_text="A_\n")
         assert code == 2 and "synthetic violation" in err
+
+
+@pytest.fixture
+def doubled_weights(monkeypatch):
+    """Double every edge weight, so the n^2/4 bound fails on most graphs."""
+    import turanweights.weights as weights_mod
+
+    real = weights_mod.edge_weight
+    monkeypatch.setattr(weights_mod, "edge_weight", lambda r: 2 * real(r))
+
+
+def violation_message(argv, stdin_text=""):
+    """Run a command that must exit 2; return its JSON error message."""
+    code, out, err = run_cli([*argv, "--format", "json"], stdin_text=stdin_text)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "invariant-violation"
+    return error["message"]
+
+
+class TestViolations:
+    """Every proven invariant is an exit-2 check whose message names the graph."""
+
+    K3 = write_graph6(complete_graph(3))
+
+    @pytest.mark.parametrize("command", ["weights", "verify"])
+    def test_weight_bound_per_graph(self, doubled_weights, command):
+        # the edgeless first graph passes; the message names the second
+        message = violation_message([command], stdin_text="B?\n" + self.K3 + "\n")
+        assert message == f"total weight 9/2 exceeds bound 9/4 on graph {self.K3}"
+
+    def test_weight_bound_fuzz(self, doubled_weights):
+        message = violation_message(["fuzz", "--n", "4", "--p", "1", "--count", "2",
+                                     "--seed", "0"])
+        assert message == "total weight 8 exceeds bound 4 on graph C~"
+
+    def test_weight_bound_sweep(self, doubled_weights):
+        # mask 3 (edges 01 and 02) is the first 3-vertex graph over the bound
+        g6 = write_graph6(graph_from_mask(3, 3))
+        message = violation_message(["sweep", "--n", "3"])
+        assert message == f"total weight 4 exceeds bound 9/4 on graph {g6}"
+
+    def test_sweep_disagrees_with_weight_report(self, monkeypatch):
+        import turanweights.sweep as sweep_mod
+
+        real = sweep_mod.scaled_weights
+
+        def inflated(rs):
+            scale, table = real(rs)
+            return scale, [2 * a for a in table]
+
+        monkeypatch.setattr(sweep_mod, "scaled_weights", inflated)
+        g6 = write_graph6(graph_from_mask(3, 3))
+        message = violation_message(["sweep", "--n", "3"])
+        assert message == f"sweep total disagrees with weight_report on graph {g6}"
+
+    def test_fuzz_chain(self, monkeypatch):
+        import turanweights.sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "lagrangian_maximum",
+                            lambda g, scheme: SimpleNamespace(maximum=Fraction(1, 3)))
+        message = violation_message(["fuzz", "--n", "4", "--p", "1", "--count", "1",
+                                     "--seed", "0"])
+        assert message == "simplex-maximum chain broken on C~: 1/4 <= 1/3 <= 1/4 fails"
+
+    def test_campaign_edge_bound(self, monkeypatch):
+        import turanweights.sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "turan_bound_check", lambda g, r: False)
+        message = violation_message(["campaign", "--n", "4", "--r", "2", "--count", "1",
+                                     "--seed", "0"])
+        assert message.startswith("edge bound violated on subgraph ")
+        assert message.endswith(" of T(4,2)")
+
+    def test_reduce_decreasing_step(self, monkeypatch):
+        import turanweights.lagrangian as lagrangian_mod
+
+        real = lagrangian_mod._side
+        monkeypatch.setattr(lagrangian_mod, "_side", lambda mat, xs, i: -real(mat, xs, i))
+        # edge 01 plus isolated vertex 2: the first pair (0, 2) has s_0 = 1/3 > s_2 = 0,
+        # so the negated sums move the mass of 0 onto 2 and f drops from 1/9 to 0
+        g6 = write_graph6(from_edge_list(3, [(0, 1)]))
+        message = violation_message(["reduce"], stdin_text=g6 + "\n")
+        assert message == f"support reduction step 1 (0->2) decreased f on graph {g6}"
 
 
 class TestLagrangian:

@@ -507,9 +507,10 @@ class TestGridOracle:
             for resolution in (1, 2, 3, 7, 12):
                 assert grid_oracle(g, CLIQUE, resolution) <= m
 
-    def test_cap_refusal(self):
-        with pytest.raises(ValueError):
-            grid_oracle(empty_graph(12), CLIQUE, 40, cap=1000)
+    def test_cap_refusal(self, monkeypatch):
+        monkeypatch.setattr(lagrangian_mod, "GRID_POINT_CAP", 1000)
+        with pytest.raises(ValueError, match="exceed the cap of 1000"):
+            grid_oracle(empty_graph(12), CLIQUE, 40)
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
@@ -518,12 +519,17 @@ class TestGridOracle:
     def test_null_graph(self):
         assert grid_oracle(empty_graph(0), CLIQUE, 5) == 0
 
-    def test_bigint_fallback_matches_fast_path(self):
-        # constant weights with a huge denominator overflow int64 on purpose
+    def test_bigint_fallback_matches_fast_path(self, monkeypatch):
         huge = WeightScheme.constant(Fraction(1, 3 * 2**60))
         small = WeightScheme.constant(Fraction(1, 3))
         g = cycle_graph(5)
-        assert grid_oracle(g, huge, 6) * 2**60 == grid_oracle(g, small, 6)
+        expected = grid_oracle(g, small, 6)
+        assert grid_oracle(g, huge, 6) * 2**60 == expected
+        # a scaled weight of 2^60 overflows int64 on purpose; with the numpy
+        # path removed, only the big-integer fallback can answer
+        heavy = WeightScheme.constant(Fraction(2**60, 3))
+        monkeypatch.setattr(lagrangian_mod, "_composition_chunks", None)
+        assert grid_oracle(g, heavy, 6) == 2**60 * expected
 
     def test_matches_composition_enumeration(self):
         # independent recount: direct evaluation over all compositions

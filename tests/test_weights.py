@@ -16,6 +16,7 @@ from turanweights import (
     verify_theorem,
     weight_report,
 )
+import turanweights.weights as weights_mod
 from turanweights.weights import scaled_weights
 
 from conftest import all_graphs
@@ -154,3 +155,11 @@ class TestTuranBoundCheck:
 def test_slack_never_negative(n, data):
     mask = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     assert verify_theorem(graph_from_mask(n, mask)) >= 0
+
+
+def test_weight_report_raises_over_bound(monkeypatch):
+    real = weights_mod.edge_weight
+    monkeypatch.setattr(weights_mod, "edge_weight", lambda r: 2 * real(r))
+    with pytest.raises(TheoremViolation, match="^total weight 8 exceeds bound 4 on graph C~$") as info:
+        verify_theorem(complete_graph(4))
+    assert info.value.report.slack == -4
