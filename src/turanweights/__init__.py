@@ -12,7 +12,6 @@ from .cliques import (
     edge_clique_number,
     enumerate_cliques,
     max_clique_size,
-    maximal_cliques,
 )
 from .graphs import (
     Graph,
@@ -96,7 +95,6 @@ __all__ = [
     "lagrangian_maximum",
     "mask_pairs",
     "max_clique_size",
-    "maximal_cliques",
     "motzkin_straus_value",
     "objective_value",
     "parse_edge_list",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -168,7 +169,7 @@ def _cmd_gen(args) -> int:
 def _summary_record(rep: WeightReport) -> dict:
     return {
         "n": rep.n,
-        "edge_count": len(rep.records),
+        "edge_count": len(rep.rs),
         "total": str(rep.total),
         "bound": str(rep.bound),
         "slack": str(rep.slack),
@@ -442,7 +443,16 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else USAGE_ERROR
     fmt = getattr(args, "format", None)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early (``| head``): send the rest of stdout to
+        # devnull so the flush at exit cannot raise, and say nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return USAGE_ERROR
     except InvariantViolation as exc:
         _emit_error(fmt, "invariant-violation", exc)
         return VIOLATION_ERROR

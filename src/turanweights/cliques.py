@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import Graph, vertices_of
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -132,38 +132,3 @@ def enumerate_cliques(g: Graph) -> Iterator[CliqueSet]:
     for tup in _iter_clique_tuples(g.adj, (1 << g.n) - 1, ()):
         yield CliqueSet(tup)
 
-
-def _bron_kerbosch(adj: Sequence[int], grown: int, cand: int, excl: int,
-                   out: list[tuple[int, ...]]) -> None:
-    if not cand and not excl:
-        out.append(vertices_of(grown))
-        return
-    # pivot with the most candidate neighbors; ties to the smallest index
-    pool = cand | excl
-    pivot = -1
-    pivot_cnt = -1
-    m = pool
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        cnt = (cand & adj[u]).bit_count()
-        if cnt > pivot_cnt:
-            pivot, pivot_cnt = u, cnt
-    ext = cand & ~adj[pivot]
-    while ext:
-        v = (ext & -ext).bit_length() - 1
-        ext &= ext - 1
-        bit = 1 << v
-        _bron_kerbosch(adj, grown | bit, cand & adj[v], excl & adj[v], out)
-        cand &= ~bit
-        excl |= bit
-
-
-def maximal_cliques(g: Graph) -> Iterator[CliqueSet]:
-    """Inclusion-maximal cliques, each once, in lexicographic order."""
-    if g.n == 0:
-        return
-    found: list[tuple[int, ...]] = []
-    _bron_kerbosch(g.adj, 0, (1 << g.n) - 1, 0, found)
-    for tup in sorted(found):
-        yield CliqueSet(tup)

@@ -295,15 +295,6 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def vertices_of(mask: int) -> tuple[int, ...]:
-    """Set bits of a mask in ascending order."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
-
-
 def mask_of(vertices: Sequence[int]) -> int:
     m = 0
     for v in vertices:

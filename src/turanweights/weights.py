@@ -44,17 +44,28 @@ class EdgeWeightRecord:
 
 @dataclass(frozen=True)
 class WeightReport:
-    """Per-edge clique numbers and weights with the exact bound comparison."""
+    """Clique number of each edge, in Graph.edges() order, with the exact
+    bound comparison; per-edge records are built only when asked for."""
 
-    n: int
-    records: tuple[EdgeWeightRecord, ...]
+    graph: Graph
+    rs: tuple[int, ...]
     total: Fraction
     bound: Fraction
     slack: Fraction
 
     @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
     def tight(self) -> bool:
         return self.slack == 0
+
+    @property
+    def records(self) -> tuple[EdgeWeightRecord, ...]:
+        weights = {r: edge_weight(r) for r in set(self.rs)}
+        return tuple(EdgeWeightRecord(u, v, r, weights[r])
+                     for (u, v), r in zip(self.graph.edges(), self.rs))
 
 
 def edge_weight(r: int) -> Fraction:
@@ -80,18 +91,16 @@ def scaled_weights(rs: Iterable[int]) -> tuple[int, list[int]]:
 
 
 def weight_report(g: Graph) -> WeightReport:
-    """Per-edge weights of g and their total against n^2/4.
+    """Edge clique numbers of g and their total weight against n^2/4.
 
     This is where the theorem is checked: a total above the bound raises
     TheoremViolation naming the graph in graph6.
     """
-    rs = edge_clique_numbers(g.adj)
+    rs = tuple(edge_clique_numbers(g.adj))
     scale, table = scaled_weights(rs)
-    weights = [Fraction(a, scale) for a in table]
-    records = tuple(EdgeWeightRecord(u, v, r, weights[r]) for (u, v), r in zip(g.edges(), rs))
     total = Fraction(sum(table[r] for r in rs), scale)
     bound = Fraction(g.n * g.n, 4)
-    report = WeightReport(g.n, records, total, bound, bound - total)
+    report = WeightReport(g, rs, total, bound, bound - total)
     if report.slack < 0:
         raise TheoremViolation(
             f"total weight {total} exceeds bound {bound} on graph {write_graph6(g)}", report)

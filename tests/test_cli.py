@@ -407,3 +407,13 @@ class TestErrorsAndHelp:
     def test_no_command_exits_one(self):
         code, _, _ = run_cli([])
         assert code == 1
+
+    def test_reader_closing_early_is_silent(self):
+        # `turanweights lagrangian --format json | head -2`, with a reader that
+        # closes before anything is written, so every write hits a broken pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "turanweights", "lagrangian", "--format", "json"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(write_graph6(turan_graph(8, 3)).encode() + b"\n")
+        assert (proc.returncode, err) == (1, b"")

@@ -15,7 +15,6 @@ from turanweights import (
     from_edge_list,
     graph_from_mask,
     max_clique_size,
-    maximal_cliques,
 )
 import turanweights.cliques as cliques_mod
 from turanweights.cliques import POPCOUNT_MAX, _expand, edge_clique_numbers
@@ -163,35 +162,6 @@ class TestEnumerateCliques:
                     sub = m & (m - 1)
                     if sub:
                         assert sub in masks  # dropping the lowest vertex stays a clique
-
-
-class TestMaximalCliques:
-    def test_k4_minus_edge(self, k4_minus_edge):
-        got = [c.vertices for c in maximal_cliques(k4_minus_edge)]
-        assert got == [(0, 1, 2), (0, 1, 3)]
-
-    def test_cycle5_edges(self):
-        got = [c.vertices for c in maximal_cliques(cycle_graph(5))]
-        assert got == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-
-    def test_complete(self):
-        got = [c.vertices for c in maximal_cliques(complete_graph(6))]
-        assert got == [(0, 1, 2, 3, 4, 5)]
-
-    def test_null_graph(self):
-        assert list(maximal_cliques(empty_graph(0))) == []
-
-    def test_against_brute_force(self):
-        for n in range(6):
-            for g in all_graphs(n):
-                cliques = set(brute_clique_masks(g))
-                expected = sorted(
-                    tuple(sorted(i for i in range(n) if m >> i & 1))
-                    for m in cliques
-                    if not any(c != m and c & m == m for c in cliques)
-                )
-                got = [c.vertices for c in maximal_cliques(g)]
-                assert got == expected
 
 
 class TestCliqueSet:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import turanweights.weights as weights_mod
 from test_cli import run_cli
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -76,6 +77,28 @@ def golden():
 @pytest.mark.parametrize("argv,stdin", CASES, ids=[_case_id(*c) for c in CASES])
 def test_output_matches_recording(golden, argv, stdin):
     assert _run(argv, stdin) == golden[_case_id(argv, stdin)]
+
+
+# commands that read only a report's totals: none may build a per-edge record
+TOTALS_ONLY = [
+    *_each_format(["verify"], MULTI),
+    *_each_format(["fuzz", "--n", "6", "--p", "1/2", "--count", "4", "--seed", "2"]),
+    *_each_format(["sweep", "--n", "5", "--tight-cap", "3"]),
+]
+
+
+def _no_records(*args):
+    raise AssertionError("per-edge record built")
+
+
+@pytest.mark.parametrize("argv,stdin", TOTALS_ONLY, ids=[_case_id(*c) for c in TOTALS_ONLY])
+def test_totals_only_commands_build_no_records(golden, monkeypatch, argv, stdin):
+    monkeypatch.setattr(weights_mod, "EdgeWeightRecord", _no_records)
+    with pytest.raises(AssertionError, match="per-edge record built"):
+        _run(["weights"], MULTI)
+    expected = golden[_case_id(argv, stdin)]
+    assert expected["code"] == 0
+    assert _run(argv, stdin) == expected
 
 
 def test_recording_covers_exactly_the_cases(golden):

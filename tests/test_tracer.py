@@ -1,0 +1,39 @@
+"""The benchmark's tracer still finds every name it wraps or reads.
+
+``perfbench/tracer.py`` replaces package functions by name and reads fields
+of their results; a rename in the package would break it only when the
+benchmark runs.  This runs it once traced and once plain on a small file.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from turanweights import complete_graph, cycle_graph, turan_graph, write_graph6
+
+ROOT = Path(__file__).resolve().parents[1]
+GRAPHS = [complete_graph(4), cycle_graph(5), turan_graph(6, 3)]
+
+
+def _trace(tmp_path, traced, graphs_file):
+    result, out = tmp_path / f"result{traced}.json", tmp_path / f"out{traced}.txt"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), traced, str(result), str(out),
+         "--", "verify", str(graphs_file)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result.read_text()), out.read_text()
+
+
+def test_traced_and_plain_verify_agree(tmp_path):
+    graphs_file = tmp_path / "graphs.g6"
+    graphs_file.write_text("".join(write_graph6(g) + "\n" for g in GRAPHS))
+    traced, traced_out = _trace(tmp_path, "1", graphs_file)
+    plain, plain_out = _trace(tmp_path, "0", graphs_file)
+    assert traced["code"] == plain["code"] == 0
+    assert traced_out == plain_out and traced_out.count("OK") == len(GRAPHS)
+    edges = sum(g.edge_count() for g in GRAPHS)
+    assert traced["layers"]["weights.report"]["counts"]["edges"] == edges

@@ -17,6 +17,7 @@ from turanweights import (
     weight_report,
 )
 import turanweights.weights as weights_mod
+from turanweights.cliques import edge_clique_numbers
 from turanweights.weights import scaled_weights
 
 from conftest import all_graphs
@@ -80,6 +81,14 @@ class TestWeightReport:
     def test_records_in_edge_order(self, k4_minus_edge):
         rep = weight_report(k4_minus_edge)
         assert [(r.u, r.v) for r in rep.records] == list(k4_minus_edge.edges())
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_rs_are_edge_clique_numbers(self, n):
+        for g in all_graphs(n):
+            rep = weight_report(g)
+            assert rep.rs == tuple(edge_clique_numbers(g.adj))
+            assert len(rep.rs) == g.edge_count()
+            assert [rec.r for rec in rep.records] == list(rep.rs)
 
 
 class TestVerifyTheorem:
