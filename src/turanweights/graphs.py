@@ -29,12 +29,12 @@ class Graph:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
+            # a negative row has bits at every position, so this rejects it too
+            if row >> self.n:
+                raise ValueError(f"adjacency of vertex {v} references vertices >= {self.n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            if row & ~full:
-                raise ValueError(f"adjacency of vertex {v} references vertices >= {self.n}")
         for v, row in enumerate(self.adj):
             m = row
             while m:
@@ -47,9 +47,6 @@ class Graph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex out of range: ({u},{v}) with n={self.n}")
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import islice
 from math import comb, lcm
-from operator import mul
-from typing import TYPE_CHECKING, Iterator, Sequence
+from operator import add, mul
+from typing import Iterator, Sequence
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
 from .cliques import CliqueSet, _iter_clique_tuples, edge_clique_numbers, max_clique_size
@@ -26,14 +26,10 @@ from .graphs import Graph, write_graph6
 from .linsolve import solve_linear_system
 from .weights import InvariantViolation, scaled_weights
 
-if TYPE_CHECKING:
-    import numpy as np
-
 STATUS_INTERIOR = "interior-solution"
 STATUS_NO_POSITIVE = "no-positive-solution"
 STATUS_SINGULAR = "singular-skipped"
 
-_INT64_SAFE = 1 << 62
 DEFAULT_CANDIDATE_CAP = 250_000
 GRID_POINT_CAP = 5_000_000
 
@@ -358,50 +354,35 @@ def motzkin_straus_value(g: Graph) -> Fraction:
     return Fraction(omega - 1, 2 * omega)
 
 
-def _composition_tuples(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All n-part compositions of ``total`` (stars and bars), lexicographic."""
-    if n == 1:
-        yield (total,)
-        return
-    for bars in combinations(range(total + n - 1), n - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(total + n - 2 - prev)
-        yield tuple(parts)
+def _best_last_pair(s_y: int, s_z: int, a: int, rem: int) -> int:
+    """Max over c in 0..rem of h(c) = c*s_y + (rem-c)*s_z + a*c*(rem-c), for a >= 0.
 
-
-@lru_cache(maxsize=4)
-def _cached_composition_array(n: int, total: int) -> np.ndarray:
-    import numpy as np
-
-    return np.array(list(_composition_tuples(n, total)), dtype=np.int64)
-
-
-def _composition_chunks(n: int, total: int, count: int) -> Iterator[np.ndarray]:
-    import numpy as np
-
-    if count * n <= 8_000_000:
-        yield _cached_composition_array(n, total)
-        return
-    buf: list[tuple[int, ...]] = []
-    for t in _composition_tuples(n, total):
-        buf.append(t)
-        if len(buf) == 65536:
-            yield np.array(buf, dtype=np.int64)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.int64)
+    h(c) = rem*s_z + b*c - a*c^2 with b = s_y - s_z + a*rem is concave, so its
+    integer maximum sits at floor(b / 2a) or the next integer, clamped to
+    [0, rem]; with a = 0 it is linear and the maximum is at an endpoint.
+    """
+    best = rem * (s_y if s_y > s_z else s_z)
+    if a:
+        b = s_y - s_z + a * rem
+        for c in (b // (2 * a), b // (2 * a) + 1):
+            if 0 < c < rem:
+                h = rem * s_z + (b - a * c) * c
+                if h > best:
+                    best = h
+    return best
 
 
 def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int) -> Fraction:
     """Exact maximum of f over simplex points with coordinates k/resolution.
 
     A lower-bound oracle for lagrangian_maximum that shares none of its code
-    path: it exhaustively evaluates the scaled-integer quadratic form at every
-    grid point.  Refuses when the number of grid points exceeds GRID_POINT_CAP.
+    path.  On integer points X summing to ``resolution`` it maximizes the
+    scaled form sum a*X_u*X_v by a depth-first walk over the positive
+    coordinates of vertices 0..n-3, in increasing vertex order, carrying the
+    form and every vertex's weighted neighbor sum; at each node the remaining
+    mass goes to the last two vertices in closed form (_best_last_pair).  The
+    walk is at most min(resolution, n-2) deep.  Refuses when the number of
+    grid points exceeds GRID_POINT_CAP.
     """
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
@@ -412,26 +393,38 @@ def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int) -> Fraction:
     cap = GRID_POINT_CAP
     if count > cap:
         raise ValueError(f"{count} grid points exceed the cap of {cap}")
+    if resolution == 1:
+        # every point is a vertex, where f is 0; this also keeps the n x n
+        # matrix below from being built for the up to GRID_POINT_CAP vertices
+        # that the cap allows at resolution 1
+        return Fraction(0)
     scale, scaled = _edge_weights(g, scheme)
     if not scaled:
         return Fraction(0)
-    max_entry = max(a for _, _, a in scaled)
-    if max_entry * resolution * resolution < _INT64_SAFE:
-        # imported here, not at module level: numpy is most of the package's
-        # import time, and nothing outside the grid oracle uses it
-        import numpy as np
+    mat = _weight_matrix(n, scaled)
+    y, z = n - 2, n - 1
+    a_yz = mat[y][z]
 
-        mat = np.zeros((n, n), dtype=np.int64)
-        for u, v, a in scaled:
-            mat[u, v] = a
-            mat[v, u] = a
-        best = 0
-        for chunk in _composition_chunks(n, resolution, count):
-            vals = (chunk @ mat * chunk).sum(axis=1)
-            top = int(vals.max())
-            if top > best:
-                best = top
-        return Fraction(best, 2 * scale * resolution * resolution)
-    # big-integer fallback for weights whose scaled values could overflow int64
-    best = max(_form(scaled, t) for t in _composition_tuples(n, resolution))
+    def walk(start: int, rem: int, form: int, sides: list[int]) -> int:
+        # sides[w] is the weighted neighbor sum at w of the mass placed so far
+        s_y, s_z = sides[y], sides[z]
+        best = form + _best_last_pair(s_y, s_z, a_yz, rem)
+        if start == y:
+            return best
+        # all of rem on one walk vertex: a leaf, so no recursion for it
+        best = max(best, form + rem * max(sides[start:y]))
+        for v in range(start, y - 1):
+            row = mat[v]
+            cur = sides
+            for c in range(1, rem):
+                cur = list(map(add, cur, row))
+                best = max(best, walk(v + 1, rem - c, form + c * sides[v], cur))
+        # children of the last walk vertex read only the last pair's sums
+        s_x, a_xy, a_xz = sides[y - 1], mat[y - 1][y], mat[y - 1][z]
+        for c in range(1, rem):
+            best = max(best, form + c * s_x
+                       + _best_last_pair(s_y + c * a_xy, s_z + c * a_xz, a_yz, rem - c))
+        return best
+
+    best = walk(0, resolution, 0, [0] * n)
     return Fraction(best, scale * resolution * resolution)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterator
 
 import pytest
 
 from turanweights import Graph, SplitMix64, graph_from_mask
-from turanweights.lagrangian import _clique_stationary, _weight_matrix
+from turanweights.lagrangian import WeightScheme, _clique_stationary, _edge_weights, _weight_matrix
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
@@ -80,6 +81,31 @@ def _solve_clique_stationary(wdict: dict[tuple[int, int], Fraction], clique: tup
     n = 1 + max(clique + tuple(v for _, v in wdict))
     mat = _weight_matrix(n, [(u, v, int(w * scale)) for (u, v), w in wdict.items()])
     return _clique_stationary(scale, mat, clique)
+
+
+def compositions(n: int, total: int) -> Iterator[tuple[int, ...]]:
+    """All n-part compositions of ``total`` (stars and bars), lexicographic."""
+    if n == 1:
+        yield (total,)
+        return
+    for bars in combinations(range(total + n - 1), n - 1):
+        prev = -1
+        parts = []
+        for b in bars:
+            parts.append(b - prev - 1)
+            prev = b
+        parts.append(total + n - 2 - prev)
+        yield tuple(parts)
+
+
+def brute_grid_maximum(g: Graph, scheme: WeightScheme, resolution: int) -> Fraction:
+    """grid_oracle by evaluating the scaled form at every grid point."""
+    if g.n == 0:
+        return Fraction(0)
+    scale, edges = _edge_weights(g, scheme)
+    best = max(sum(a * t[u] * t[v] for u, v, a in edges)
+               for t in compositions(g.n, resolution))
+    return Fraction(best, scale * resolution * resolution)
 
 
 def random_rational_point(n: int, seed: int) -> tuple[Fraction, ...]:

@@ -367,6 +367,14 @@ class TestInputHandling:
         code, _, err = run_cli(["verify"], stdin_text="")
         assert code == 1 and "no graphs" in err
 
+    def test_million_vertex_edge_list_verifies(self):
+        # the per-row range check must not build an n-bit mask for each of n rows
+        result = subprocess.run([sys.executable, "-m", "turanweights", "verify"],
+                                input="1000000 0\n", capture_output=True, text=True,
+                                timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "n=1000000 slack=250000000000" in result.stdout
+
     def test_oversized_edge_list_header(self):
         code, out, err = run_cli(["verify"], stdin_text="1000000000000000 0\n")
         assert (code, out) == (1, "")
@@ -387,6 +395,14 @@ class TestImport:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True)
         assert result.stdout == "False\n"
+
+    def test_grid_oracle_leaves_numpy_unloaded(self):
+        code = ("import sys; from turanweights.cli import main; "
+                "sys.exit(main(['oracle', '--grid', '3']) or 'numpy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], input="4 3\n0 1\n1 2\n2 3\n",
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "graph 1: grid maximum 2/9 (resolution 3)\n"
 
 
 class TestErrorsAndHelp:

@@ -51,6 +51,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize("adj", [(0b1000, 0, 0), (0, 0, 0b1000), (0, 1 << 200, 0)])
+    def test_row_bit_at_or_above_n_rejected(self, adj):
+        with pytest.raises(ValueError, match="references vertices >= 3"):
+            Graph(3, adj)
+
+    def test_negative_row_rejected(self):
+        with pytest.raises(ValueError, match="references vertices >= 3"):
+            Graph(3, (0, -2, 0))
+
     def test_edges_are_lexicographic(self):
         g = from_edge_list(4, [(2, 3), (0, 2), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]

@@ -34,10 +34,18 @@ from turanweights.lagrangian import (
     _weight_matrix,
 )
 
-from conftest import _solve_clique_stationary, all_graphs, naive_solve, random_rational_point
+from conftest import (
+    _solve_clique_stationary,
+    all_graphs,
+    brute_grid_maximum,
+    naive_solve,
+    random_rational_point,
+)
 
 CLIQUE = WeightScheme.clique_weighted()
 CONST1 = WeightScheme.constant(1)
+GRID_SCHEMES = [CLIQUE, WeightScheme.constant(Fraction(5, 7)),
+                WeightScheme.constant(Fraction(2**60, 3))]
 
 
 def p3():
@@ -498,6 +506,11 @@ class TestGridOracle:
         for g in [complete_graph(4), cycle_graph(5), p3()]:
             assert grid_oracle(g, CLIQUE, 1) == 0
 
+    def test_resolution1_on_a_million_vertices(self):
+        # the cap allows 10^6 grid points, so no n x n table may be built
+        g = from_edge_list(10**6, [(0, 1), (1, 2)])
+        assert grid_oracle(g, CLIQUE, 1) == 0
+
     def test_path_resolution4(self):
         assert grid_oracle(p3(), CLIQUE, 4) == Fraction(1, 4)
 
@@ -519,17 +532,29 @@ class TestGridOracle:
     def test_null_graph(self):
         assert grid_oracle(empty_graph(0), CLIQUE, 5) == 0
 
-    def test_bigint_fallback_matches_fast_path(self, monkeypatch):
+    def test_bigint_fallback_matches_fast_path(self):
+        # a scale of 3 * 2^60, and a scaled weight of 2^60 whose grid terms
+        # exceed int64, both give the small-weight maximum, scaled exactly
         huge = WeightScheme.constant(Fraction(1, 3 * 2**60))
         small = WeightScheme.constant(Fraction(1, 3))
         g = cycle_graph(5)
         expected = grid_oracle(g, small, 6)
         assert grid_oracle(g, huge, 6) * 2**60 == expected
-        # a scaled weight of 2^60 overflows int64 on purpose; with the numpy
-        # path removed, only the big-integer fallback can answer
         heavy = WeightScheme.constant(Fraction(2**60, 3))
-        monkeypatch.setattr(lagrangian_mod, "_composition_chunks", None)
         assert grid_oracle(g, heavy, 6) == 2**60 * expected
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_brute_force_on_every_graph(self, n):
+        for g in all_graphs(n):
+            for scheme in GRID_SCHEMES:
+                for resolution in range(1, 7):
+                    assert grid_oracle(g, scheme, resolution) == \
+                        brute_grid_maximum(g, scheme, resolution)
+
+    @given(graphs_strategy(8), st.sampled_from(GRID_SCHEMES), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_on_random_graphs(self, g, scheme, resolution):
+        assert grid_oracle(g, scheme, resolution) == brute_grid_maximum(g, scheme, resolution)
 
     def test_matches_composition_enumeration(self):
         # independent recount: direct evaluation over all compositions
