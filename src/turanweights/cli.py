@@ -425,15 +425,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(fmt: str | None, kind: str, error: Exception | str) -> None:
+def _emit_error(fmt: str | None, kind: str, error: Exception | str,
+                command: str | None = None) -> None:
+    """Report an error on stderr, with the shell-quoted command line when one is given."""
     if fmt == "json":
-        payload = {"error": {"kind": kind, "message": str(error)}}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        payload = {"kind": kind, "message": str(error)}
+        if command is not None:
+            payload["command"] = command
+        print(json.dumps({"error": payload}, sort_keys=True), file=sys.stderr)
     else:
         print(f"turanweights: {kind}: {error}", file=sys.stderr)
+        if command is not None:
+            print(f"  command: {command}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -454,7 +462,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return USAGE_ERROR
     except InvariantViolation as exc:
-        _emit_error(fmt, "invariant-violation", exc)
+        import shlex  # only this path needs it; every command's start-up skips it
+
+        _emit_error(fmt, "invariant-violation", exc, shlex.join(["turanweights", *argv]))
         return VIOLATION_ERROR
     except (ValueError, OSError) as exc:
         _emit_error(fmt, "usage", exc)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
 from math import comb, lcm
 from operator import add, mul
 from typing import Iterator, Sequence
@@ -125,9 +125,18 @@ def weight_map(g: Graph, scheme: WeightScheme) -> dict[tuple[int, int], Fraction
 
 
 def _weight_matrix(n: int, edges) -> list[list[int]]:
-    """n x n symmetric matrix of the scaled weights a, zero off the edges."""
-    mat = [[0] * n for _ in range(n)]
+    """n x n symmetric matrix of the scaled weights a, zero off the edges.
+
+    Vertices without an edge all share one zero row, which nothing writes
+    to, so a sparse graph on many vertices does not hold n^2 list slots.
+    """
+    zero = [0] * n
+    mat = [zero] * n
     for u, v, a in edges:
+        if mat[u] is zero:
+            mat[u] = [0] * n
+        if mat[v] is zero:
+            mat[v] = [0] * n
         mat[u][v] = mat[v][u] = a
     return mat
 
@@ -317,6 +326,11 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     separately.  Ties keep the first candidate in enumeration order.  Refuses,
     before any solve, when the graph has more than DEFAULT_CANDIDATE_CAP
     cliques.
+
+    A clique's system reads only its upper-triangle weights in clique order,
+    and the weights take few distinct values, so each distinct system is
+    solved once per call and its result reused for every later clique with
+    the same weights (K_17's 131,071 cliques need 17 solves).
     """
     if g.n == 0:
         return LagrangianOutcome(Fraction(0), CliqueSet(()), SimplexPoint(()), ())
@@ -330,8 +344,17 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     best_value: Fraction | None = None
     best_clique: tuple[int, ...] = ()
     best_coords: list[Fraction] = []
+    solved: dict[tuple[int, ...], tuple] = {}
     for clique in cliques:
-        status, value, coords = _clique_stationary(scale, mat, clique)
+        # from a list, not a generator: tuple() of a generator starts at 10
+        # slots and resizes, so freed keys of every other length pile up in
+        # the interpreter's per-length tuple free lists (0.3 MB on the
+        # benchmark's dense graphs)
+        key = tuple([mat[i][j] for i, j in combinations(clique, 2)])
+        result = solved.get(key)
+        if result is None:
+            result = solved[key] = _clique_stationary(scale, mat, clique)
+        status, value, coords = result
         candidates.append(CliqueCandidate(CliqueSet(clique), status, value))
         if value is not None and (best_value is None or value > best_value):
             best_value, best_clique, best_coords = value, clique, coords

@@ -204,6 +204,20 @@ class TestViolations:
         message = violation_message(["reduce"], stdin_text=g6 + "\n")
         assert message == f"support reduction step 1 (0->2) decreased f on graph {g6}"
 
+    def test_human_error_names_the_command(self, monkeypatch, tmp_path):
+        import turanweights.lagrangian as lagrangian_mod
+
+        real = lagrangian_mod._side
+        monkeypatch.setattr(lagrangian_mod, "_side", lambda mat, xs, i: -real(mat, xs, i))
+        g6 = write_graph6(from_edge_list(3, [(0, 1)]))
+        path = tmp_path / "one edge.g6"
+        path.write_text(g6 + "\n")
+        code, out, err = run_cli(["reduce", "--mode", "constant:1", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"turanweights: invariant-violation: support reduction step 1 (0->2) "
+                       f"decreased f on graph {g6}\n"
+                       f"  command: turanweights reduce --mode constant:1 '{path}'\n")
+
 
 class TestLagrangian:
     def test_c5_constant_mode(self):
@@ -366,6 +380,29 @@ class TestInputHandling:
     def test_empty_input(self):
         code, _, err = run_cli(["verify"], stdin_text="")
         assert code == 1 and "no graphs" in err
+
+    def test_sparse_lagrangian_builds_no_square_matrix(self, tmp_path):
+        # 4000 vertices with one edge: a zero row per isolated vertex would
+        # hold 16 million list slots, about 128 MB.  A small launcher starts
+        # the CLI and reads its peak RSS with wait4, because a child spawned
+        # straight from this process would count this process's peak as its own.
+        graph, out = tmp_path / "sparse.el", tmp_path / "out.txt"
+        graph.write_text("4000 1\n0 1\n")
+        launcher = (
+            "import os, subprocess, sys\n"
+            "with open(sys.argv[2], 'w') as out:\n"
+            "    child = subprocess.Popen([sys.executable, '-m', 'turanweights', 'lagrangian',\n"
+            "                              sys.argv[1]], stdout=out)\n"
+            "    _, status, usage = os.wait4(child.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+        result = subprocess.run([sys.executable, "-c", launcher, str(graph), str(out)],
+                                capture_output=True, text=True, timeout=60, check=True)
+        code, peak_kb = map(int, result.stdout.split())  # ru_maxrss is in kB on Linux
+        lines = out.read_text().splitlines()
+        assert code == 0
+        assert lines[:2] == ["graph 1: maximum 1/4", "  support 0,1"]
+        assert lines[3] == "  candidates 4001"
+        assert peak_kb < 40 * 1024
 
     def test_million_vertex_edge_list_verifies(self):
         # the per-row range check must not build an n-bit mask for each of n rows

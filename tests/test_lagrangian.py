@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turanweights import (
@@ -20,6 +20,7 @@ from turanweights import (
     objective_value,
     side_sum,
     support_reduce,
+    turan_graph,
     weight_map,
     weight_report,
 )
@@ -484,6 +485,110 @@ class TestIntegerCoreMatchesReference:
         assert objective_value(g, scheme, x) == ref_objective(wdict, x.coords)
         for i in range(g.n):
             assert side_sum(g, scheme, x, i) == ref_side(wdict, x.coords, i)
+
+
+def doubled(g):
+    """g and a copy of it on vertices n..2n-1, with no edge between them."""
+    n = g.n
+    return from_edge_list(2 * n, [*g.edges(), *((u + n, v + n) for u, v in g.edges())])
+
+
+def ref_maximum(g, wdict):
+    """(maximum, support, witness, ledger) from one ref_stationary per clique, first max wins."""
+    ledger = []
+    best_value, best_clique, best_coords = None, (), []
+    for clique in _iter_clique_tuples(g.adj, (1 << g.n) - 1, ()):
+        status, value, coords = ref_stationary(wdict, clique)
+        ledger.append((clique, status, value))
+        if value is not None and (best_value is None or value > best_value):
+            best_value, best_clique, best_coords = value, clique, coords
+    witness = [Fraction(0)] * g.n
+    for vert, xv in zip(best_clique, best_coords):
+        witness[vert] = xv
+    return best_value or Fraction(0), best_clique, tuple(witness), ledger
+
+
+def outcome_tuple(out):
+    return (out.maximum, out.support.vertices, out.witness.coords,
+            [(c.clique.vertices, c.status, c.value) for c in out.candidates])
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """The size of every system lagrangian_maximum hands to the linear solver."""
+    sizes = []
+    real = lagrangian_mod.solve_linear_system
+
+    def counting(rows, rhs):
+        sizes.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(lagrangian_mod, "solve_linear_system", counting)
+    return sizes
+
+
+class TestDistinctSystemsSolvedOnce:
+    def test_complete_graph_one_solve_per_clique_size(self, solve_sizes):
+        # K_15 has 32,767 cliques but one weight, so one system per size 1..15
+        out = lagrangian_maximum(complete_graph(15), CLIQUE)
+        assert len(out.candidates) == 2**15 - 1
+        assert sorted(solve_sizes) == list(range(2, 17))
+
+    @pytest.mark.parametrize("g", [complete_graph(5), turan_graph(6, 3)], ids=["K5", "T(6,3)"])
+    def test_tie_keeps_the_first_copy(self, solve_sizes, g):
+        out = lagrangian_maximum(g, CLIQUE)
+        single = len(solve_sizes)
+        both = lagrangian_maximum(doubled(g), CLIQUE)
+        # the copy's cliques repeat the first copy's systems: no new solve
+        assert len(solve_sizes) == 2 * single
+        assert both.maximum == out.maximum == Fraction(1, 4)
+        assert both.support == out.support
+        assert both.witness.coords == out.witness.coords + (Fraction(0),) * g.n
+        first = next(c for c in both.candidates if c.value == both.maximum)
+        assert first.clique == both.support
+
+    @given(graphs_strategy(5),
+           st.one_of(st.just(CLIQUE),
+                     st.fractions(min_value=Fraction(1, 50), max_value=5,
+                                  max_denominator=50).map(WeightScheme.constant)))
+    @settings(max_examples=80, deadline=None)
+    def test_doubled_graph_matches_reference(self, g, scheme):
+        g2 = doubled(g)
+        assert outcome_tuple(lagrangian_maximum(g2, scheme)) == \
+            ref_maximum(g2, ref_weights(g2, scheme))
+
+    @given(graphs_strategy(5).flatmap(lambda g: st.tuples(
+        st.just(g), st.lists(st.integers(1, 2), min_size=g.edge_count(),
+                             max_size=g.edge_count()))))
+    # K_5 with weight 2 on edges 04, 14, 23: K_4s whose weights are equal as
+    # multisets but not in clique order, which a key that forgets the order merges
+    @example((complete_graph(5), [1, 1, 1, 2, 1, 1, 2, 2, 1, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_doubled_graph_with_arbitrary_weights(self, graph_weights):
+        # two weight values placed freely: cliques with the same weights in a
+        # different order are different systems, some singular or boundary
+        g, ws = graph_weights
+        g2 = doubled(g)
+        # g2.edges() lists the first copy's edges, then the copy's in the same order
+        edges = tuple((u, v, a) for (u, v), a in zip(g2.edges(), ws + ws))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lagrangian_mod, "_edge_weights", lambda g, scheme: (1, edges))
+            out = lagrangian_maximum(g2, CLIQUE)
+        wdict = {(u, v): Fraction(a) for u, v, a in edges}
+        assert outcome_tuple(out) == ref_maximum(g2, wdict)
+
+    def test_ledger_on_every_graph_with_6_vertices(self):
+        # the reference is solved once per distinct clique weight tuple
+        for scheme in (CLIQUE, WeightScheme.constant(Fraction(7, 5))):
+            slow = {}
+            for g in all_graphs(6):
+                wdict = ref_weights(g, scheme)
+                for cand in lagrangian_maximum(g, scheme).candidates:
+                    clique = cand.clique.vertices
+                    key = tuple(wdict[e] for e in combinations(clique, 2))
+                    if key not in slow:
+                        slow[key] = ref_stationary(wdict, clique)[:2]
+                    assert (cand.status, cand.value) == slow[key], (g, clique)
 
 
 class TestMotzkinStrausValue:

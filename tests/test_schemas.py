@@ -53,6 +53,20 @@ def test_error_payload_validates():
     jsonschema.validate(json.loads(err), load_schema("error"))
 
 
+def test_violation_payload_names_the_command(monkeypatch):
+    import turanweights.lagrangian as lagrangian_mod
+
+    real = lagrangian_mod._side
+    monkeypatch.setattr(lagrangian_mod, "_side", lambda mat, xs, i: -real(mat, xs, i))
+    argv = ["reduce", "--start", "1/3,1/3,1/3", "--format", "json"]
+    code, out, err = run_cli(argv, stdin_text="3 1\n0 1\n")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    jsonschema.validate(payload, load_schema("error"))
+    assert payload["error"]["kind"] == "invariant-violation"
+    assert payload["error"]["command"] == "turanweights reduce --start 1/3,1/3,1/3 --format json"
+
+
 def test_all_shipped_schemas_are_valid():
     names = ["weights", "verify", "lagrangian", "reduce", "campaign", "oracle", "error"]
     for name in names:
