@@ -102,7 +102,7 @@ def edge_clique_numbers(adj: Sequence[int]) -> list[int]:
             above ^= low
             common = row & adj[low.bit_length() - 1]
             c = common.bit_count()
-            # no call: most edges of the sweep's graphs have c <= 1
+            # no call: a common neighbourhood of at most one vertex is its own clique
             out.append(2 + c if c <= 1 else _clique_number_over(adj, common))
     return out
 

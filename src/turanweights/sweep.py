@@ -9,7 +9,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .cliques import edge_clique_numbers
 from .graphs import Graph, SplitMix64, from_edge_list, random_gnp, turan_graph, write_graph6
 from .lagrangian import WeightScheme, lagrangian_maximum
 from .weights import (
@@ -52,7 +51,8 @@ def mask_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def graph_from_mask(n: int, mask: int) -> Graph:
+def _mask_rows(n: int, mask: int) -> list[int]:
+    """Adjacency rows of the graph on n vertices whose edges are the set bits of mask."""
     pairs = mask_pairs(n)
     adj = [0] * n
     while mask:
@@ -61,40 +61,89 @@ def graph_from_mask(n: int, mask: int) -> Graph:
         u, v = pairs[b]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return adj
+
+
+def graph_from_mask(n: int, mask: int) -> Graph:
+    return Graph(n, tuple(_mask_rows(n, mask)))
+
+
+def _clique_table(adj: list[int]) -> list[int]:
+    """om[T] = clique number of the subgraph induced on the vertex set T, for every T.
+
+    With v the lowest vertex of T, a largest clique of T either misses v or
+    is v plus a clique of T's neighbours of v; both sets lie in T - v, a
+    smaller number than T, so their entries are already filled.
+    """
+    om = [0] * (1 << len(adj))
+    for t in range(1, len(om)):
+        low = t & -t
+        without = om[t ^ low]
+        through = 1 + om[t & adj[low.bit_length() - 1]]
+        om[t] = without if without > through else through
+    return om
 
 
 def _sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, int, list[int], int | None]:
     """Check masks in [lo, hi); return (checked, tight, max_total_scaled,
-    tight_masks up to cap, first violating mask or None)."""
+    tight_masks up to cap, first violating mask or None).
+
+    Vertex 0's pairs are the low n-1 mask bits, so a mask is (high << (n-1)) | N:
+    ``high`` is, in mask_pairs(n-1) order, a graph H on vertices 1..n-1
+    (numbered 0..n-2 here) and N is vertex 0's neighbourhood.  For each H the
+    shard tabulates the clique number om of every vertex set of H once; then
+    an edge (0, v) has clique number 2 + om[N & N_H(v)], and an H-edge uv with
+    common neighbourhood c has 2 + om[c], one more when both ends are in N and
+    N holds a largest clique of c.
+    """
     n, lo, hi, tight_cap = args
-    pairs = mask_pairs(n)
     scale, table = scaled_weights(range(2, n + 1))
     bound4 = n * n * scale  # slack >= 0  iff  4 * total_scaled <= bound4
+    k = max(n - 1, 0)
+    block = 1 << k
+    pairs = mask_pairs(k)
+    # per neighbourhood N: its vertices, and the bits of the H-pairs inside it
+    members = [[v for v in range(k) if nbhd >> v & 1] for nbhd in range(block)]
+    inner_pairs = [[b for b, (u, v) in enumerate(pairs) if nbhd >> u & nbhd >> v & 1]
+                   for nbhd in range(block)]
     tight = 0
     max_total = 0
     tight_masks: list[int] = []
-    for mask in range(lo, hi):
-        adj = [0] * n
-        mm = mask
-        while mm:
-            b = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            u, v = pairs[b]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        total = 0
-        for r in edge_clique_numbers(adj):
-            total += table[r]
-        quad = 4 * total
-        if quad > bound4:
-            return mask - lo, tight, max_total, tight_masks, mask
-        if quad == bound4:
-            tight += 1
-            if len(tight_masks) < tight_cap:
-                tight_masks.append(mask)
-        if total > max_total:
-            max_total = total
+    for high in range(lo >> k, (hi + block - 1) >> k):
+        first = high << k
+        adj = _mask_rows(k, high)
+        om = _clique_table(adj)
+        # spoke[S]: weight of an edge (0, v) with common neighbourhood S; S never
+        # holds v, so it is never all of H and the last entry is never read
+        spoke = [table[2 + x] for x in om[:-1]]
+        base = 0
+        # H-edge bit -> (common neighbourhood c, om[c], weight change at r + 1);
+        # c misses u, v and vertex 0, so r + 1 <= n stays inside the table
+        gains: list[tuple[int, int, int] | None] = [None] * len(pairs)
+        for b, (u, v) in enumerate(pairs):
+            if high >> b & 1:
+                common = adj[u] & adj[v]
+                r = 2 + om[common]
+                base += table[r]
+                gains[b] = (common, om[common], table[r + 1] - table[r])
+        for nbhd in range(max(lo - first, 0), min(hi - first, block)):
+            total = base
+            for v in members[nbhd]:
+                total += spoke[nbhd & adj[v]]
+            for b in inner_pairs[nbhd]:
+                gain = gains[b]
+                if gain is not None and om[gain[0] & nbhd] == gain[1]:
+                    total += gain[2]
+            mask = first + nbhd
+            quad = 4 * total
+            if quad > bound4:
+                return mask - lo, tight, max_total, tight_masks, mask
+            if quad == bound4:
+                tight += 1
+                if len(tight_masks) < tight_cap:
+                    tight_masks.append(mask)
+            if total > max_total:
+                max_total = total
     return hi - lo, tight, max_total, tight_masks, None
 
 

@@ -9,7 +9,9 @@ from typing import Iterator
 
 import pytest
 
-from turanweights import Graph, SplitMix64, graph_from_mask
+import turanweights.sweep as sweep_mod
+from turanweights import Graph, SplitMix64, graph_from_mask, mask_pairs
+from turanweights.cliques import edge_clique_numbers
 from turanweights.lagrangian import WeightScheme, _clique_stationary, _edge_weights, _weight_matrix
 
 
@@ -17,6 +19,41 @@ def all_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices, by adjacency mask order."""
     for mask in range(1 << (n * (n - 1) // 2)):
         yield graph_from_mask(n, mask)
+
+
+def reference_sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, int, list[int], int | None]:
+    """sweep._sweep_shard as a per-mask loop: rebuild each graph and run
+    edge_clique_numbers on it.  Reads sweep.scaled_weights at call time, so a
+    test that patches the table patches both."""
+    n, lo, hi, tight_cap = args
+    pairs = mask_pairs(n)
+    scale, table = sweep_mod.scaled_weights(range(2, n + 1))
+    bound4 = n * n * scale
+    tight = 0
+    max_total = 0
+    tight_masks: list[int] = []
+    for mask in range(lo, hi):
+        adj = [0] * n
+        mm = mask
+        while mm:
+            b = (mm & -mm).bit_length() - 1
+            mm &= mm - 1
+            u, v = pairs[b]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        total = 0
+        for r in edge_clique_numbers(adj):
+            total += table[r]
+        quad = 4 * total
+        if quad > bound4:
+            return mask - lo, tight, max_total, tight_masks, mask
+        if quad == bound4:
+            tight += 1
+            if len(tight_masks) < tight_cap:
+                tight_masks.append(mask)
+        if total > max_total:
+            max_total = total
+    return hi - lo, tight, max_total, tight_masks, None
 
 
 def is_clique_mask(g: Graph, mask: int) -> bool:

@@ -15,7 +15,7 @@ from turanweights import (
 )
 import turanweights.sweep as sweep_mod
 
-from conftest import all_graphs
+from conftest import all_graphs, reference_sweep_shard
 
 
 @pytest.fixture
@@ -123,6 +123,63 @@ class TestSweepAllGraphs:
             assert stats.tight_count >= len(divisible) > 0
             for r in divisible:
                 assert verify_theorem(turan_graph(n, r)) == 0
+
+
+def shard_args(n, step, tight_cap=3):
+    """The shards of an n-vertex sweep cut every ``step`` masks (None: one shard)."""
+    total = 1 << (n * (n - 1) // 2)
+    step = step or total
+    return [(n, lo, min(lo + step, total), tight_cap) for lo in range(0, total, step)]
+
+
+def inflate_all(table):
+    return [2 * a for a in table]
+
+
+def inflate_r2(table):
+    # a heavier r = 2 weight: the first violating graphs are C_4, K_{2,3} and K_{3,3}, mid-block
+    return [a + 2 * (r == 2) for r, a in enumerate(table)]
+
+
+class TestBlockShard:
+    """The vertex-0 block recurrence against the per-mask reference loop."""
+
+    @pytest.mark.parametrize("step", [1, 3, 7, 64, 1000, None])
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_split_matches_reference(self, n, step):
+        for args in shard_args(n, step):
+            assert sweep_mod._sweep_shard(args) == reference_sweep_shard(args), args
+
+    @pytest.mark.parametrize("high", [0, 1, 2, 3, 777, 4096, 12345, 21845, 32766, 32767])
+    def test_n7_blocks_match_reference(self, high):
+        total = 1 << 21
+        first = high << 6
+        for lo, hi in [(first, first + 64), (first + 5, first + 37),
+                       (first + 40, min(first + 137, total))]:
+            args = (7, lo, hi, 3)
+            assert sweep_mod._sweep_shard(args) == reference_sweep_shard(args), args
+
+    @pytest.mark.parametrize("inflate", [inflate_all, inflate_r2])
+    @pytest.mark.parametrize("step", [3, 7, 64, 1000, None])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_violation_stops_where_reference_does(self, monkeypatch, n, step, inflate):
+        real = sweep_mod.scaled_weights
+
+        def inflated(rs):
+            scale, table = real(rs)
+            return scale, inflate(table)
+
+        monkeypatch.setattr(sweep_mod, "scaled_weights", inflated)
+        results = [(sweep_mod._sweep_shard(args), reference_sweep_shard(args))
+                   for args in shard_args(n, step)]
+        assert all(new == ref for new, ref in results)
+        assert any(new[4] is not None for new, _ in results)
+
+    def test_unaligned_shards(self, monkeypatch, pool_sizes):
+        # 24 shards of 1,366 masks: boundaries fall inside vertex-0 blocks of 32
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
+        assert sweep_all_graphs(6, jobs=3) == sweep_all_graphs(6, jobs=1)
+        assert pool_sizes == [3]
 
 
 class TestFuzzRandom:
