@@ -338,8 +338,29 @@ def _add_format_option(sub: argparse.ArgumentParser) -> None:
                      help="output format (default: human)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _UsageError(Exception):
+    """An argparse error, raised instead of printed so it can be reported as JSON."""
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    """Parser for argv that asks for ``--format json``; its subparsers share the class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _requested_format(argv: list[str]) -> str | None:
+    """The ``--format`` value in argv, found without knowing the command."""
+    probe = _RaisingParser(add_help=False)
+    probe.add_argument("--format")
+    try:
+        return probe.parse_known_args(argv)[0].format
+    except _UsageError:
+        return None
+
+
+def _build_parser(parser_class: type[argparse.ArgumentParser]) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="turanweights",
         description="Exact clique-weighted edge bounds and simplex maximization on graphs.",
     )
@@ -442,13 +463,17 @@ def _emit_error(fmt: str | None, kind: str, error: Exception | str,
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
+    json_errors = _requested_format(argv) == "json"
+    parser = _build_parser(_RaisingParser if json_errors else argparse.ArgumentParser)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; fold the latter
         # into the usage-error code so 2 stays reserved for violations
         return 0 if exc.code == 0 else USAGE_ERROR
+    except _UsageError as exc:
+        _emit_error("json", "usage", exc)
+        return USAGE_ERROR
     fmt = getattr(args, "format", None)
     try:
         code = args.func(args)

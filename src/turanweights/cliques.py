@@ -61,13 +61,8 @@ def _expand(adj: Sequence[int], size: int, cand: int, best: int) -> int:
     return best
 
 
-def max_clique_size(g: Graph) -> int:
-    """Exact clique number; 0 for the null graph, 1 for nonempty edgeless graphs."""
-    return _expand(g.adj, 0, (1 << g.n) - 1, 0)
-
-
-# Common neighbourhoods up to this size go to the popcount search, larger ones
-# to the coloring search; README gives the timings behind the crossover.
+# Vertex sets up to this size go to the popcount search, larger ones to the
+# coloring search; README gives the timings behind the crossover.
 POPCOUNT_MAX = 14
 
 
@@ -84,11 +79,16 @@ def _popcount_search(adj: Sequence[int], cand: int, size: int, best: int) -> int
     return best
 
 
-def _clique_number_over(adj: Sequence[int], common: int) -> int:
-    """2 + the clique number of an edge's common neighbourhood ``common``."""
-    if common.bit_count() <= POPCOUNT_MAX:
-        return 2 + _popcount_search(adj, common, 0, 0)
-    return 2 + _expand(adj, 0, common, 0)
+def _clique_number(adj: Sequence[int], cand: int) -> int:
+    """Clique number of the subgraph induced on the vertex set ``cand``."""
+    if cand.bit_count() <= POPCOUNT_MAX:
+        return _popcount_search(adj, cand, 0, 0)
+    return _expand(adj, 0, cand, 0)
+
+
+def max_clique_size(g: Graph) -> int:
+    """Exact clique number; 0 for the null graph, 1 for nonempty edgeless graphs."""
+    return _clique_number(g.adj, (1 << g.n) - 1)
 
 
 def edge_clique_numbers(adj: Sequence[int]) -> list[int]:
@@ -103,7 +103,7 @@ def edge_clique_numbers(adj: Sequence[int]) -> list[int]:
             common = row & adj[low.bit_length() - 1]
             c = common.bit_count()
             # no call: a common neighbourhood of at most one vertex is its own clique
-            out.append(2 + c if c <= 1 else _clique_number_over(adj, common))
+            out.append(2 + (c if c <= 1 else _clique_number(adj, common)))
     return out
 
 
@@ -111,7 +111,7 @@ def edge_clique_number(g: Graph, u: int, v: int) -> int:
     """Size of the largest clique containing the edge (u, v); always >= 2."""
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
-    return _clique_number_over(g.adj, g.adj[u] & g.adj[v])
+    return 2 + _clique_number(g.adj, g.adj[u] & g.adj[v])
 
 
 def _iter_clique_tuples(adj: Sequence[int], cand: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

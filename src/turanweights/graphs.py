@@ -7,6 +7,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 68719476735  # largest vertex count the size header can carry (2^36 - 1)
+# largest edge-list header accepted: the most vertices any command takes
+# (oracle --grid 1); larger headers are refused before anything is allocated
+EDGE_LIST_MAX_N = 5_000_000
 
 
 class Graph6Error(ValueError):
@@ -270,7 +273,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain format: first line "n m", then m lines "u v".
 
     Tokens may be separated by any whitespace; duplicate and reversed pairs
-    are tolerated.
+    are tolerated.  A header with more than EDGE_LIST_MAX_N vertices is
+    refused.
     """
     tokens = text.split()
     if len(tokens) < 2:
@@ -280,6 +284,8 @@ def parse_edge_list(text: str) -> Graph:
     except ValueError as exc:
         raise ValueError(f"non-integer token in edge list: {exc}") from None
     n, m = nums[0], nums[1]
+    if n > EDGE_LIST_MAX_N:
+        raise ValueError("input too large to hold in memory")
     if len(nums) != 2 + 2 * m:
         raise ValueError(f"expected {m} edges ({2 * m} endpoints), got {(len(nums) - 2)} tokens")
     pairs = [(nums[2 + 2 * i], nums[3 + 2 * i]) for i in range(m)]

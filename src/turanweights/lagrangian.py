@@ -331,6 +331,10 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     and the weights take few distinct values, so each distinct system is
     solved once per call and its result reused for every later clique with
     the same weights (K_17's 131,071 cliques need 17 solves).
+
+    Under clique weights the maximum M must satisfy U <= M <= 1/4, where
+    U = total weight / n^2 is f at the uniform point, or InvariantViolation
+    is raised; a constant scheme has no 1/4 bound and is not checked.
     """
     if g.n == 0:
         return LagrangianOutcome(Fraction(0), CliqueSet(()), SimplexPoint(()), ())
@@ -358,11 +362,18 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
         candidates.append(CliqueCandidate(CliqueSet(clique), status, value))
         if value is not None and (best_value is None or value > best_value):
             best_value, best_clique, best_coords = value, clique, coords
+    maximum = best_value if best_value is not None else Fraction(0)
+    if scheme.mode == "clique":
+        uniform = Fraction(sum(a for _, _, a in edges), scale * g.n * g.n)
+        if not uniform <= maximum <= Fraction(1, 4):
+            raise InvariantViolation(
+                f"simplex-maximum chain broken on {write_graph6(g)}: "
+                f"{uniform} <= {maximum} <= 1/4 fails")
     witness = [Fraction(0)] * g.n
     for vert, xv in zip(best_clique, best_coords):
         witness[vert] = xv
     return LagrangianOutcome(
-        best_value if best_value is not None else Fraction(0),
+        maximum,
         CliqueSet(best_clique),
         SimplexPoint(tuple(witness)),
         tuple(candidates),

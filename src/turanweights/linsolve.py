@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 
-def solve_linear_system(rows: Sequence[Sequence[Fraction | int]],
-                        rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """Solve a square rational system exactly; None when no unique solution exists.
+def solve_linear_system(rows: Sequence[Sequence[int]],
+                        rhs: Sequence[int]) -> list[Fraction] | None:
+    """Solve a square integer system exactly; None when no unique solution exists.
 
-    Each row is scaled to integers by the lcm of its denominators (1 for an
-    integral row), then eliminated fraction-free: with the Bareiss update every
+    The rows are eliminated fraction-free: with the Bareiss update every
     intermediate entry stays an exact integer and the division by the
     previous pivot is exact, which keeps growth polynomial.  Back
     substitution is fraction-free as well: the last pivot is the determinant
@@ -25,11 +23,7 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction | int]],
     if k == 0:
         return []
 
-    m: list[list[int]] = []
-    for row, b in zip(rows, rhs):
-        den = lcm(*[x.denominator for x in row], b.denominator)
-        m.append([x.numerator * (den // x.denominator) for x in row]
-                 + [b.numerator * (den // b.denominator)])
+    m = [[*row, b] for row, b in zip(rows, rhs)]
 
     prev = 1
     for col in range(k):

@@ -220,26 +220,20 @@ def fuzz_random(n: int, p: Fraction | int, count: int, seed: int,
     """Verify the weight bound on ``count`` seeded G(n,p) draws.
 
     Per-graph seeds come from one SplitMix64 stream seeded with ``seed``, so
-    the whole campaign is reproducible.  When n <= lagrangian_cap the exact
-    simplex maximum m is also computed and the chain
-    total/n^2 <= m <= 1/4 is checked; the weight bound is checked at every n.
+    the whole campaign is reproducible.  The weight bound is checked at every
+    n; when n <= lagrangian_cap the exact simplex maximum is also computed,
+    and lagrangian_maximum checks the chain total/n^2 <= max f <= 1/4.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     master = SplitMix64(seed)
-    quarter = Fraction(1, 4)
 
     def draws() -> Iterator[Part]:
         for _ in range(count):
             g = random_gnp(n, p, master.next64())
             report = weight_report(g)
             if n >= 1 and n <= lagrangian_cap:
-                outcome = lagrangian_maximum(g, WeightScheme.clique_weighted())
-                uniform_value = Fraction(report.total, n * n)
-                if not uniform_value <= outcome.maximum <= quarter:
-                    raise InvariantViolation(
-                        f"simplex-maximum chain broken on {write_graph6(g)}: "
-                        f"{uniform_value} <= {outcome.maximum} <= 1/4 fails")
+                lagrangian_maximum(g, WeightScheme.clique_weighted())
             yield 1, int(report.tight), report.total, [g] if report.tight else []
 
     return _tally(n, Fraction(n * n, 4), draws(), DEFAULT_TIGHT_CAP)

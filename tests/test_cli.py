@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +30,30 @@ def run_cli(argv, stdin_text=""):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_measured(tmp_path, command, stdin_text):
+    """Run ``turanweights command`` in a child process on stdin_text; return
+    (exit code, stdout, stderr, peak RSS in kB).
+
+    A small launcher starts the CLI and reads its peak RSS with wait4,
+    because a child spawned straight from this process would count this
+    process's peak as its own.
+    """
+    paths = [tmp_path / name for name in ("in.txt", "out.txt", "err.txt")]
+    paths[0].write_text(stdin_text)
+    launcher = (
+        "import os, subprocess, sys\n"
+        "with open(sys.argv[2]) as src, open(sys.argv[3], 'w') as out, "
+        "open(sys.argv[4], 'w') as err:\n"
+        "    child = subprocess.Popen([sys.executable, '-m', 'turanweights', sys.argv[1]],\n"
+        "                             stdin=src, stdout=out, stderr=err)\n"
+        "    _, status, usage = os.wait4(child.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    result = subprocess.run([sys.executable, "-c", launcher, command, *map(str, paths)],
+                            capture_output=True, text=True, timeout=60, check=True)
+    code, peak_kb = map(int, result.stdout.split())  # ru_maxrss is in kB on Linux
+    return code, paths[1].read_text(), paths[2].read_text(), peak_kb
 
 
 K4E_EDGELIST = "4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n"
@@ -130,6 +153,15 @@ def doubled_weights(monkeypatch):
     monkeypatch.setattr(weights_mod, "edge_weight", lambda r: 2 * real(r))
 
 
+@pytest.fixture
+def inflated_stationary(monkeypatch):
+    """Every clique's stationary value reads 1/3, so K_4's maximum exceeds 1/4."""
+    import turanweights.lagrangian as lagrangian_mod
+
+    monkeypatch.setattr(lagrangian_mod, "_clique_stationary", lambda scale, mat, clique: (
+        lagrangian_mod.STATUS_INTERIOR, Fraction(1, 3), [Fraction(1, len(clique))] * len(clique)))
+
+
 def violation_message(argv, stdin_text=""):
     """Run a command that must exit 2; return its JSON error message."""
     code, out, err = run_cli([*argv, "--format", "json"], stdin_text=stdin_text)
@@ -175,14 +207,23 @@ class TestViolations:
         message = violation_message(["sweep", "--n", "3"])
         assert message == f"sweep total disagrees with weight_report on graph {g6}"
 
-    def test_fuzz_chain(self, monkeypatch):
-        import turanweights.sweep as sweep_mod
+    CHAIN = "simplex-maximum chain broken on C~: 1/4 <= 1/3 <= 1/4 fails"
 
-        monkeypatch.setattr(sweep_mod, "lagrangian_maximum",
-                            lambda g, scheme: SimpleNamespace(maximum=Fraction(1, 3)))
+    def test_fuzz_chain(self, inflated_stationary):
         message = violation_message(["fuzz", "--n", "4", "--p", "1", "--count", "1",
                                      "--seed", "0"])
-        assert message == "simplex-maximum chain broken on C~: 1/4 <= 1/3 <= 1/4 fails"
+        assert message == self.CHAIN
+
+    def test_lagrangian_chain(self, inflated_stationary):
+        code, out, err = run_cli(["lagrangian"], stdin_text="C~\n")
+        assert (code, out) == (2, "")
+        assert err == (f"turanweights: invariant-violation: {self.CHAIN}\n"
+                       f"  command: turanweights lagrangian\n")
+        code, out, err = run_cli(["lagrangian", "--format", "json"], stdin_text="C~\n")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "kind": "invariant-violation", "message": self.CHAIN,
+            "command": "turanweights lagrangian --format json"}}
 
     def test_campaign_edge_bound(self, monkeypatch):
         import turanweights.sweep as sweep_mod
@@ -383,25 +424,19 @@ class TestInputHandling:
 
     def test_sparse_lagrangian_builds_no_square_matrix(self, tmp_path):
         # 4000 vertices with one edge: a zero row per isolated vertex would
-        # hold 16 million list slots, about 128 MB.  A small launcher starts
-        # the CLI and reads its peak RSS with wait4, because a child spawned
-        # straight from this process would count this process's peak as its own.
-        graph, out = tmp_path / "sparse.el", tmp_path / "out.txt"
-        graph.write_text("4000 1\n0 1\n")
-        launcher = (
-            "import os, subprocess, sys\n"
-            "with open(sys.argv[2], 'w') as out:\n"
-            "    child = subprocess.Popen([sys.executable, '-m', 'turanweights', 'lagrangian',\n"
-            "                              sys.argv[1]], stdout=out)\n"
-            "    _, status, usage = os.wait4(child.pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
-        result = subprocess.run([sys.executable, "-c", launcher, str(graph), str(out)],
-                                capture_output=True, text=True, timeout=60, check=True)
-        code, peak_kb = map(int, result.stdout.split())  # ru_maxrss is in kB on Linux
-        lines = out.read_text().splitlines()
+        # hold 16 million list slots, about 128 MB
+        code, out, _, peak_kb = run_cli_measured(tmp_path, "lagrangian", "4000 1\n0 1\n")
+        lines = out.splitlines()
         assert code == 0
         assert lines[:2] == ["graph 1: maximum 1/4", "  support 0,1"]
         assert lines[3] == "  candidates 4001"
+        assert peak_kb < 40 * 1024
+
+    def test_edge_list_header_refused_before_allocating(self, tmp_path):
+        # one vertex over the limit; accepting it would cost about 94 MB
+        code, out, err, peak_kb = run_cli_measured(tmp_path, "verify", "5000001 0\n")
+        assert (code, out) == (1, "")
+        assert err == "turanweights: usage: input too large to hold in memory\n"
         assert peak_kb < 40 * 1024
 
     def test_million_vertex_edge_list_verifies(self):
@@ -460,6 +495,15 @@ class TestErrorsAndHelp:
     def test_no_command_exits_one(self):
         code, _, _ = run_cli([])
         assert code == 1
+
+    def test_human_usage_error_keeps_argparse_text(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        code, out, err = run_cli(["sweep", "--n", "x"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "usage: turanweights sweep [-h] --n N [--jobs JOBS] [--cap CAP]\n"
+            "                          [--tight-cap TIGHT_CAP] [--format {human,tsv,json}]\n"
+            "turanweights sweep: error: argument --n: invalid int value: 'x'\n")
 
     def test_reader_closing_early_is_silent(self):
         # `turanweights lagrangian --format json | head -2`, with a reader that

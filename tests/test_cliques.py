@@ -17,7 +17,7 @@ from turanweights import (
     max_clique_size,
 )
 import turanweights.cliques as cliques_mod
-from turanweights.cliques import POPCOUNT_MAX, _expand, edge_clique_numbers
+from turanweights.cliques import POPCOUNT_MAX, _clique_number, _expand, edge_clique_numbers
 from turanweights.graphs import mask_of, random_gnp
 from turanweights.sweep import mask_pairs
 
@@ -47,9 +47,23 @@ class TestMaxClique:
         assert max_clique_size(empty_graph(4)) == 1
 
     def test_against_brute_force_small(self):
-        for n in range(6):
-            for g in all_graphs(n):
-                assert max_clique_size(g) == brute_max_clique(g)
+        # a crossover of 1 sends every graph with two or more vertices to the
+        # coloring search, 64 sends every graph here to the popcount search
+        for crossover in (1, 64):
+            with mock.patch.object(cliques_mod, "POPCOUNT_MAX", crossover):
+                for n in range(6):
+                    for g in all_graphs(n):
+                        assert max_clique_size(g) == brute_max_clique(g), (crossover, g)
+
+    def test_against_coloring_search_on_gnp(self):
+        # the whole graph, and its prefix vertex sets on both sides of the crossover
+        for n in range(15, 25):
+            for p in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
+                g = random_gnp(n, p, 11)
+                assert max_clique_size(g) == _expand(g.adj, 0, (1 << n) - 1, 0), (n, p)
+                for k in range(n + 1):
+                    cand = (1 << k) - 1
+                    assert _clique_number(g.adj, cand) == _expand(g.adj, 0, cand, 0), (n, p, k)
 
 
 class TestEdgeCliqueNumber:

@@ -18,6 +18,7 @@ from turanweights import (
     lagrangian_maximum,
     motzkin_straus_value,
     objective_value,
+    random_gnp,
     side_sum,
     support_reduce,
     turan_graph,
@@ -370,6 +371,17 @@ class TestLagrangianMaximum:
                 uniform_value = Fraction(weight_report(g).total, n * n)
                 assert uniform_value <= out.maximum <= Fraction(1, 4)
 
+    def test_chain_lower_end_is_the_weight_report_total(self):
+        # lagrangian_maximum takes U = sum(a) / (scale n^2) from its own weight
+        # table; it is the total that weight_report checks, over n^2
+        rng = SplitMix64(53)
+        for _ in range(60):
+            n = 1 + rng.below(16)
+            g = random_gnp(n, Fraction(1 + rng.below(9), 10), rng.next64())
+            scale, edges = _edge_weights(g, CLIQUE)
+            assert Fraction(sum(a for _, _, a in edges), scale * n * n) == \
+                weight_report(g).total / (n * n)
+
     def test_constant_scale_linearity(self):
         two = WeightScheme.constant(2)
         for n in range(5):
@@ -573,7 +585,7 @@ class TestDistinctSystemsSolvedOnce:
         edges = tuple((u, v, a) for (u, v), a in zip(g2.edges(), ws + ws))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lagrangian_mod, "_edge_weights", lambda g, scheme: (1, edges))
-            out = lagrangian_maximum(g2, CLIQUE)
+            out = lagrangian_maximum(g2, CONST1)
         wdict = {(u, v): Fraction(a) for u, v, a in edges}
         assert outcome_tuple(out) == ref_maximum(g2, wdict)
 

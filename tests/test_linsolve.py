@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,33 +9,39 @@ from turanweights.linsolve import solve_linear_system
 from conftest import naive_solve
 
 
+def integral(rows, rhs):
+    """Each rational row and its right-hand side times the lcm of their denominators."""
+    out_rows, out_rhs = [], []
+    for row, b in zip(rows, rhs):
+        den = lcm(*[Fraction(x).denominator for x in row], Fraction(b).denominator)
+        out_rows.append([int(x * den) for x in row])
+        out_rhs.append(int(b * den))
+    return out_rows, out_rhs
+
+
 def test_two_by_two():
-    sol = solve_linear_system([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]],
-                              [Fraction(5), Fraction(10)])
+    sol = solve_linear_system([[2, 1], [1, 3]], [5, 10])
     assert sol == [Fraction(1), Fraction(3)]
 
 
 def test_fractional_entries():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1)]]
     rhs = [Fraction(7, 6), Fraction(11, 5)]
-    sol = solve_linear_system(rows, rhs)
+    sol = solve_linear_system(*integral(rows, rhs))
     assert sol == [Fraction(1), Fraction(2)]
 
 
 def test_needs_row_swap():
-    rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    sol = solve_linear_system(rows, [Fraction(3), Fraction(4)])
+    sol = solve_linear_system([[0, 1], [1, 0]], [3, 4])
     assert sol == [Fraction(4), Fraction(3)]
 
 
 def test_singular_rank_deficient():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve_linear_system(rows, [Fraction(1), Fraction(2)]) is None
+    assert solve_linear_system([[1, 2], [2, 4]], [1, 2]) is None
 
 
 def test_singular_zero_matrix():
-    rows = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-    assert solve_linear_system(rows, [Fraction(0), Fraction(0)]) is None
+    assert solve_linear_system([[0, 0], [0, 0]], [0, 0]) is None
 
 
 def test_empty_system():
@@ -43,7 +50,7 @@ def test_empty_system():
 
 def test_shape_mismatch():
     with pytest.raises(ValueError):
-        solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
+        solve_linear_system([[1]], [1, 2])
 
 
 def test_hilbert_exact():
@@ -51,15 +58,15 @@ def test_hilbert_exact():
     rows = [[Fraction(1, i + j + 1) for j in range(k)] for i in range(k)]
     expected = [Fraction(i + 1, 2) for i in range(k)]
     rhs = [sum(rows[i][j] * expected[j] for j in range(k)) for i in range(k)]
-    assert solve_linear_system(rows, rhs) == expected
+    assert solve_linear_system(*integral(rows, rhs)) == expected
 
 
 def test_random_systems_match_naive_oracle():
     rng = SplitMix64(2024)
     for trial in range(200):
         k = 1 + rng.below(5)
-        rows = [[Fraction(rng.below(21)) - 10 for _ in range(k)] for _ in range(k)]
-        rhs = [Fraction(rng.below(21)) - 10 for _ in range(k)]
+        rows = [[rng.below(21) - 10 for _ in range(k)] for _ in range(k)]
+        rhs = [rng.below(21) - 10 for _ in range(k)]
         assert solve_linear_system(rows, rhs) == naive_solve(rows, rhs)
 
 
@@ -70,33 +77,35 @@ def test_random_fractional_systems_match_naive_oracle():
         rows = [[Fraction(rng.below(19) - 9, 1 + rng.below(7)) for _ in range(k)]
                 for _ in range(k)]
         rhs = [Fraction(rng.below(19) - 9, 1 + rng.below(7)) for _ in range(k)]
-        assert solve_linear_system(rows, rhs) == naive_solve(rows, rhs)
+        assert solve_linear_system(*integral(rows, rhs)) == naive_solve(rows, rhs)
 
 
 def test_integer_rows_match_fraction_twins():
-    # integral rows take the path that skips scaling; it must agree with the
-    # same system given as Fractions, singular systems included
+    # the fraction-free solve must agree with plain Fraction elimination on
+    # the same system, singular systems included
     rng = SplitMix64(909)
     singular = 0
     for trial in range(300):
         k = 1 + rng.below(6)
         rows = [[rng.below(7) - 3 for _ in range(k)] for _ in range(k)]
         rhs = [rng.below(7) - 3 for _ in range(k)]
-        twin = solve_linear_system([[Fraction(x) for x in row] for row in rows],
-                                   [Fraction(b) for b in rhs])
-        assert solve_linear_system(rows, rhs) == twin == naive_solve(rows, rhs)
+        twin = naive_solve(rows, rhs)
+        assert solve_linear_system(rows, rhs) == twin
         singular += twin is None
     assert singular > 0
 
 
 def test_mixed_integer_and_fraction_rows():
+    # every other row times a random nonzero integer: the same solution set
     rng = SplitMix64(31)
     for trial in range(100):
         k = 2 + rng.below(4)
-        rows = [[Fraction(rng.below(19) - 9, 1 + rng.below(5)) if r % 2 else rng.below(19) - 9
-                 for _ in range(k)] for r in range(k)]
+        rows = [[rng.below(19) - 9 for _ in range(k)] for _ in range(k)]
         rhs = [rng.below(9) - 4 for _ in range(k)]
-        assert solve_linear_system(rows, rhs) == naive_solve(rows, rhs)
+        factors = [(rng.below(9) - 4 or 5) if r % 2 else 1 for r in range(k)]
+        scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
+        assert solve_linear_system(scaled, [f * b for f, b in zip(factors, rhs)]) \
+            == naive_solve(rows, rhs)
 
 
 def test_integer_results_are_fractions():

@@ -53,6 +53,19 @@ def test_error_payload_validates():
     jsonschema.validate(json.loads(err), load_schema("error"))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--format", "json"], "the following arguments are required: --n"),
+    (["sweep", "--n", "x", "--format", "json"], "argument --n: invalid int value: 'x'"),
+    (["lagrangian", "--format", "json", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_argparse_error_payload_validates(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    jsonschema.validate(payload, load_schema("error"))
+    assert payload == {"error": {"kind": "usage", "message": message}}
+
+
 def test_violation_payload_names_the_command(monkeypatch):
     import turanweights.lagrangian as lagrangian_mod
 
