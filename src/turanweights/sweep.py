@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, SplitMix64, from_edge_list, random_gnp, turan_graph, write_graph6
 from .lagrangian import WeightScheme, lagrangian_maximum
@@ -22,6 +22,10 @@ from .weights import (
 DEFAULT_SWEEP_CAP = 7
 DEFAULT_TIGHT_CAP = 10
 DEFAULT_LAGRANGIAN_CAP = 12
+# n = 10 would need an orbit table of 2^36 labels on the graphs on 9 vertices
+SWEEP_MAX_N = 9
+# an unlabeled mask in array("H") orbit labels; k = 8 has 12,346 classes
+_UNLABELED = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -84,34 +88,118 @@ def _clique_table(adj: list[int]) -> list[int]:
     return om
 
 
-def _sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, int, list[int], int | None]:
-    """Check masks in [lo, hi); return (checked, tight, max_total_scaled,
-    tight_masks up to cap, first violating mask or None).
+class Orbits(NamedTuple):
+    """The isomorphism classes of the graphs on k vertices, as masks over mask_pairs(k).
+
+    ``labels[mask]`` is the index of the mask's class.  Classes are numbered
+    by their least member, ascending: class c has least member ``reps[c]``
+    and ``sizes[c]`` members.
+    """
+
+    labels: array
+    reps: list[int]
+    sizes: list[int]
+
+
+def _bit_table(images: list[int]) -> list[int]:
+    """t[x] = OR of images[b] over the set bits b of x, for every x < 2^len(images)."""
+    t = [0] * (1 << len(images))
+    for x in range(1, len(t)):
+        low = x & -x
+        t[x] = t[x ^ low] | images[low.bit_length() - 1]
+    return t
+
+
+def _plain_changes(k: int) -> list[int]:
+    """Positions i of the adjacent swaps (i, i+1) that step through all k! orders
+    of k items, each order once (Steinhaus-Johnson-Trotter).
+
+    Between two swaps of the k-1 older items the newest item sweeps from one
+    end to the other; while it sits at the left end the older items occupy
+    positions 1..k-1, so their swap moves one place right.
+    """
+    if k < 2:
+        return []
+    out: list[int] = []
+    for step, inner in enumerate([*_plain_changes(k - 1), None]):
+        out.extend(range(k - 2, -1, -1) if step % 2 == 0 else range(k - 1))
+        if inner is not None:
+            out.append(inner + (step % 2 == 0))
+    return out
+
+
+def orbit_table(k: int) -> Orbits:
+    """Label every graph on k vertices with its isomorphism class.
+
+    Masks are taken in ascending order, and each one not yet labeled is the
+    least member of a new class.  The class is closed by walking the k!
+    relabelings of that mask one adjacent transposition at a time, in
+    plain-changes order; each transposition is a bit permutation of the mask,
+    applied as two table lookups (low and high half of the bits).  The
+    labels are 16-bit: 64 KB at k = 6, 4 MB at k = 7, 512 MB at k = 8.
+    """
+    pairs = mask_pairs(k)
+    index = {p: b for b, p in enumerate(pairs)}
+    half = (len(pairs) + 1) // 2
+    low = (1 << half) - 1
+    swaps = []
+    for i in range(k - 1):
+        swap = {i: i + 1, i + 1: i}
+        images = [1 << index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
+        swaps.append((_bit_table(images[:half]), _bit_table(images[half:])))
+    walk = [swaps[i] for i in _plain_changes(k)]
+    labels = array("H", [_UNLABELED]) * (1 << len(pairs))
+    reps: list[int] = []
+    sizes: list[int] = []
+    for rep in range(len(labels)):
+        if labels[rep] != _UNLABELED:
+            continue
+        c = len(reps)
+        labels[rep] = c
+        members = 1
+        x = rep
+        for lo, hi in walk:
+            x = lo[x & low] | hi[x >> half]
+            if labels[x] == _UNLABELED:
+                labels[x] = c
+                members += 1
+        reps.append(rep)
+        sizes.append(members)
+    return Orbits(labels, reps, sizes)
+
+
+# one block check's result: (checked, tight, max_total_scaled, tight masks, first violating mask)
+BlockResult = tuple[int, int, int, list[int], int | None]
+
+
+class _Blocks:
+    """The vertex-0 block check of the n-vertex sweep, with its per-n tables.
 
     Vertex 0's pairs are the low n-1 mask bits, so a mask is (high << (n-1)) | N:
     ``high`` is, in mask_pairs(n-1) order, a graph H on vertices 1..n-1
     (numbered 0..n-2 here) and N is vertex 0's neighbourhood.  For each H the
-    shard tabulates the clique number om of every vertex set of H once; then
+    check tabulates the clique number om of every vertex set of H once; then
     an edge (0, v) has clique number 2 + om[N & N_H(v)], and an H-edge uv with
     common neighbourhood c has 2 + om[c], one more when both ends are in N and
     N holds a largest clique of c.
     """
-    n, lo, hi, tight_cap = args
-    scale, table = scaled_weights(range(2, n + 1))
-    bound4 = n * n * scale  # slack >= 0  iff  4 * total_scaled <= bound4
-    k = max(n - 1, 0)
-    block = 1 << k
-    pairs = mask_pairs(k)
-    # per neighbourhood N: its vertices, and the bits of the H-pairs inside it
-    members = [[v for v in range(k) if nbhd >> v & 1] for nbhd in range(block)]
-    inner_pairs = [[b for b, (u, v) in enumerate(pairs) if nbhd >> u & nbhd >> v & 1]
-                   for nbhd in range(block)]
-    tight = 0
-    max_total = 0
-    tight_masks: list[int] = []
-    for high in range(lo >> k, (hi + block - 1) >> k):
-        first = high << k
-        adj = _mask_rows(k, high)
+
+    def __init__(self, n: int):
+        self.scale, self.table = scaled_weights(range(2, n + 1))
+        self.bound4 = n * n * self.scale  # slack >= 0  iff  4 * total_scaled <= bound4
+        self.k = k = max(n - 1, 0)
+        self.pairs = mask_pairs(k)
+        # per neighbourhood N: its vertices, and the bits of the H-pairs inside it
+        self.members = [[v for v in range(k) if nbhd >> v & 1] for nbhd in range(1 << k)]
+        self.inner_pairs = [[b for b, (u, v) in enumerate(self.pairs) if nbhd >> u & nbhd >> v & 1]
+                            for nbhd in range(1 << k)]
+
+    def check(self, high: int, nbhds: range, tight_cap: int) -> BlockResult:
+        """Check the masks (high << k) | N for N in ``nbhds``, ascending, and
+        stop at the first one over the bound."""
+        table, bound4, members, inner_pairs = self.table, self.bound4, self.members, self.inner_pairs
+        first = high << self.k
+        adj = _mask_rows(self.k, high)
         om = _clique_table(adj)
         # spoke[S]: weight of an edge (0, v) with common neighbourhood S; S never
         # holds v, so it is never all of H and the last entry is never read
@@ -119,14 +207,17 @@ def _sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, int, list[i
         base = 0
         # H-edge bit -> (common neighbourhood c, om[c], weight change at r + 1);
         # c misses u, v and vertex 0, so r + 1 <= n stays inside the table
-        gains: list[tuple[int, int, int] | None] = [None] * len(pairs)
-        for b, (u, v) in enumerate(pairs):
+        gains: list[tuple[int, int, int] | None] = [None] * len(self.pairs)
+        for b, (u, v) in enumerate(self.pairs):
             if high >> b & 1:
                 common = adj[u] & adj[v]
                 r = 2 + om[common]
                 base += table[r]
                 gains[b] = (common, om[common], table[r + 1] - table[r])
-        for nbhd in range(max(lo - first, 0), min(hi - first, block)):
+        tight = 0
+        max_total = 0
+        tight_masks: list[int] = []
+        for nbhd in nbhds:
             total = base
             for v in members[nbhd]:
                 total += spoke[nbhd & adj[v]]
@@ -134,26 +225,74 @@ def _sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, int, list[i
                 gain = gains[b]
                 if gain is not None and om[gain[0] & nbhd] == gain[1]:
                     total += gain[2]
-            mask = first + nbhd
             quad = 4 * total
             if quad > bound4:
-                return mask - lo, tight, max_total, tight_masks, mask
+                return nbhd - nbhds.start, tight, max_total, tight_masks, first + nbhd
             if quad == bound4:
                 tight += 1
                 if len(tight_masks) < tight_cap:
-                    tight_masks.append(mask)
+                    tight_masks.append(first + nbhd)
             if total > max_total:
                 max_total = total
-    return hi - lo, tight, max_total, tight_masks, None
+        return len(nbhds), tight, max_total, tight_masks, None
+
+
+def _sweep_shard(args: tuple[int, int, int, int]) -> BlockResult:
+    """Check masks in [lo, hi) of the n-vertex sweep, block by block; return
+    (checked, tight, max_total_scaled, tight_masks up to cap, first violating
+    mask or None).  The results are those of a per-mask loop."""
+    n, lo, hi, tight_cap = args
+    blocks = _Blocks(n)
+    k = blocks.k
+    checked = tight = max_total = 0
+    tight_masks: list[int] = []
+    violation = None
+    for high in range(lo >> k, (hi + (1 << k) - 1) >> k):
+        first = high << k
+        nbhds = range(max(lo - first, 0), min(hi - first, 1 << k))
+        block_checked, block_tight, block_max, block_masks, violation = blocks.check(
+            high, nbhds, tight_cap - len(tight_masks))
+        checked += block_checked
+        tight += block_tight
+        max_total = max(max_total, block_max)
+        tight_masks += block_masks
+        if violation is not None:
+            break
+    return checked, tight, max_total, tight_masks, violation
+
+
+def _sweep_classes(args: tuple[int, list[int]]) -> tuple[list[int], int, int | None]:
+    """Check the whole block of each graph H in ``highs``; return (tight count of
+    each block, max_total_scaled, first violating mask or None), stopping at
+    the first violation."""
+    n, highs = args
+    blocks = _Blocks(n)
+    every_nbhd = range(1 << blocks.k)
+    tights: list[int] = []
+    max_total = 0
+    for high in highs:
+        _, tight, block_max, _, violation = blocks.check(high, every_nbhd, 0)
+        if violation is not None:
+            return tights, max_total, violation
+        tights.append(tight)
+        max_total = max(max_total, block_max)
+    return tights, max_total, None
 
 
 def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
                      tight_cap: int = DEFAULT_TIGHT_CAP) -> SweepStats:
     """Verify the weight bound on every labeled graph on n vertices.
 
-    Iterates all 2^(n(n-1)/2) adjacency masks, sharded over ``jobs`` worker
-    processes (at most one per CPU and one per shard); partial results merge
-    in shard order, so the outcome is identical for any job count.
+    Relabeling the graph H on vertices 1..n-1 relabels vertex 0's
+    neighbourhood with it, so the blocks of isomorphic H hold the same
+    totals.  The sweep checks one block per class of H, the block of the
+    class's least member, and counts its tight graphs once per member.
+    Classes are sharded over ``jobs`` worker processes (at most one per CPU
+    and one per shard) and merge in class order, so the outcome is identical
+    for any job count.  The first violating mask is in the block of the least
+    violating class's least member, which that block's check returns; the
+    first tight masks come from rechecking the labeled blocks of tight
+    classes in ascending order.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the sweep cap of {cap}")
@@ -163,30 +302,48 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
         raise ValueError(f"tight-example cap must be nonnegative, got {tight_cap}")
     if jobs < 1:
         raise ValueError(f"job count must be >= 1, got {jobs}")
-    total_masks = 1 << (n * (n - 1) // 2)
+    if n > SWEEP_MAX_N:
+        raise ValueError(
+            f"n={n} exceeds {SWEEP_MAX_N}, the largest n the labeled sweep runs: its orbit "
+            f"table would hold 2^{(n - 1) * (n - 2) // 2} labels; larger n needs a sweep "
+            f"over isomorphism classes")
+    orbits = orbit_table(max(n - 1, 0))
+    reps = orbits.reps
     jobs = min(jobs, os.cpu_count() or 1)
-    shard_count = min(total_masks, jobs * 8)
-    step = -(-total_masks // shard_count)
-    shards = [(n, lo, min(lo + step, total_masks), tight_cap)
-              for lo in range(0, total_masks, step)]
+    step = -(-len(reps) // min(len(reps), jobs * 8))
+    shards = [(n, reps[i:i + step]) for i in range(0, len(reps), step)]
     if jobs == 1 or len(shards) == 1:
-        partials = [_sweep_shard(s) for s in shards]
+        partials = [_sweep_classes(s) for s in shards]
     else:
-        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
-            partials = pool.map(_sweep_shard, shards)
+        import multiprocessing  # here, not at module top: every command imports this module
 
-    scale, _ = scaled_weights(range(2, n + 1))
-    parts = []
-    for checked, tight, max_total, tight_masks, violation in partials:
+        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
+            partials = pool.map(_sweep_classes, shards)
+
+    tights: list[int] = []
+    max_total = 0
+    for shard_tights, shard_max, violation in partials:
         if violation is not None:
             # weight_report raises when the rational path sees the violation too
             g = graph_from_mask(n, violation)
             weight_report(g)
             raise InvariantViolation(
                 f"sweep total disagrees with weight_report on graph {write_graph6(g)}")
-        parts.append((checked, tight, Fraction(max_total, scale),
-                      (graph_from_mask(n, m) for m in tight_masks)))
-    return _tally(n, Fraction(n * n, 4), parts, tight_cap)
+        tights += shard_tights
+        max_total = max(max_total, shard_max)
+
+    blocks = _Blocks(n)
+    tight = sum(t * size for t, size in zip(tights, orbits.sizes))
+    tight_masks: list[int] = []
+    wanted = min(tight, tight_cap)
+    for high, c in enumerate(orbits.labels):
+        if len(tight_masks) == wanted:
+            break
+        if tights[c]:
+            tight_masks += blocks.check(high, range(1 << blocks.k), wanted - len(tight_masks))[3]
+    part = (sum(orbits.sizes) << blocks.k, tight, Fraction(max_total, blocks.scale),
+            (graph_from_mask(n, m) for m in tight_masks))
+    return _tally(n, Fraction(n * n, 4), [part], tight_cap)
 
 
 def _tally(n: int, bound: Fraction, parts: Iterable[Part], tight_cap: int) -> SweepStats:

@@ -354,6 +354,15 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", "--n", "9"])
         assert code == 1
 
+    def test_past_max_n_exit_1(self):
+        message = ("n=10 exceeds 9, the largest n the labeled sweep runs: its orbit table "
+                   "would hold 2^36 labels; larger n needs a sweep over isomorphism classes")
+        code, out, err = run_cli(["sweep", "--n", "10", "--cap", "10"])
+        assert (code, out, err) == (1, "", f"turanweights: usage: {message}\n")
+        code, out, err = run_cli(["sweep", "--n", "10", "--cap", "10", "--format", "json"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"kind": "usage", "message": message}}
+
     def test_negative_tight_cap_exit_1(self):
         code, out, err = run_cli(["sweep", "--n", "3", "--tight-cap", "-1", "--format", "json"])
         assert (code, out) == (1, "")

@@ -1,10 +1,18 @@
+import multiprocessing
+import random
+import tracemalloc
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 from turanweights import (
+    InvariantViolation,
     complete_graph,
     fuzz_random,
+    graph_from_mask,
+    mask_pairs,
     sweep_all_graphs,
     turan_bound_campaign,
     turan_bound_check,
@@ -36,7 +44,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(sweep_mod.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     return sizes
 
 
@@ -89,8 +97,8 @@ class TestSweepAllGraphs:
 
     def test_pool_sized_to_shards(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
-        # n = 2 has two labeled graphs, hence two one-mask shards
-        assert sweep_all_graphs(2, jobs=8) == sweep_all_graphs(2, jobs=1)
+        # the graphs on vertices 1..2 of n = 3 form two classes, hence two one-class shards
+        assert sweep_all_graphs(3, jobs=8) == sweep_all_graphs(3, jobs=1)
         assert pool_sizes == [2]
 
     def test_negative_tight_cap_rejected(self):
@@ -109,6 +117,29 @@ class TestSweepAllGraphs:
     def test_cap_can_be_raised(self):
         stats = sweep_all_graphs(3, cap=3)
         assert stats.graphs_checked == 8
+
+    def test_n8(self):
+        # 141 tight graphs: the labeled K_{4,4}, K_{2,2,2,2} and K_8 (35 + 105 + 1)
+        stats = sweep_all_graphs(8, cap=8)
+        assert stats.graphs_checked == 1 << 28
+        assert stats.tight_count == 141
+        assert stats.max_total_weight == 16 and stats.min_slack == 0
+
+    @pytest.mark.parametrize("n", [10, 11, 10**6])
+    def test_past_max_n_refused_before_allocating(self, monkeypatch, n):
+        def no_table(k):
+            raise AssertionError("orbit table built")
+
+        monkeypatch.setattr(sweep_mod, "orbit_table", no_table)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^n={n} exceeds 9, the largest n the labeled "
+                                                 f"sweep runs: .* isomorphism classes$"):
+                sweep_all_graphs(n, cap=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_tight_cap_limits_examples(self):
         stats = sweep_all_graphs(4, tight_cap=2)
@@ -176,10 +207,110 @@ class TestBlockShard:
         assert any(new[4] is not None for new, _ in results)
 
     def test_unaligned_shards(self, monkeypatch, pool_sizes):
-        # 24 shards of 1,366 masks: boundaries fall inside vertex-0 blocks of 32
+        # the 34 classes of the graphs on vertices 1..5 go to 17 shards of two, on 3 workers
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
         assert sweep_all_graphs(6, jobs=3) == sweep_all_graphs(6, jobs=1)
         assert pool_sizes == [3]
+
+
+def relabel(k, mask, perm):
+    """The mask over mask_pairs(k) of the graph with each vertex v renamed perm[v]."""
+    pairs = mask_pairs(k)
+    index = {p: b for b, p in enumerate(pairs)}
+    out = 0
+    for b, (u, v) in enumerate(pairs):
+        if mask >> b & 1:
+            out |= 1 << index[tuple(sorted((perm[u], perm[v])))]
+    return out
+
+
+# OEIS A000088: graphs on k vertices up to isomorphism
+A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
+
+
+class TestOrbitTable:
+    @pytest.mark.parametrize("k", range(7))
+    def test_class_counts(self, k):
+        assert len(sweep_mod.orbit_table(k).reps) == A000088[k]
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_orbit_sizes(self, k):
+        orbits = sweep_mod.orbit_table(k)
+        assert sum(orbits.sizes) == 1 << (k * (k - 1) // 2) == len(orbits.labels)
+        assert all(factorial(k) % size == 0 for size in orbits.sizes)
+        for c, size in enumerate(orbits.sizes):
+            assert orbits.labels.count(c) == size
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_labels_invariant_under_relabeling(self, k):
+        orbits = sweep_mod.orbit_table(k)
+        rng = random.Random(k)
+        for _ in range(300):
+            mask = rng.randrange(len(orbits.labels))
+            perm = list(range(k))
+            rng.shuffle(perm)
+            assert orbits.labels[relabel(k, mask, perm)] == orbits.labels[mask]
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_representative_is_least_member(self, k):
+        orbits = sweep_mod.orbit_table(k)
+        assert orbits.reps == sorted(orbits.reps)
+        for c, rep in enumerate(orbits.reps):
+            assert orbits.labels[rep] == c
+            assert rep == min(relabel(k, rep, perm) for perm in permutations(range(k)))
+
+    def test_plain_changes_reach_every_order(self):
+        for k in range(7):
+            order = list(range(k))
+            seen = {tuple(order)}
+            for i in sweep_mod._plain_changes(k):
+                order[i], order[i + 1] = order[i + 1], order[i]
+                seen.add(tuple(order))
+            assert len(seen) == factorial(k) == len(sweep_mod._plain_changes(k)) + 1
+
+
+def stats_from_one_shard(n, tight_cap):
+    """The SweepStats of one whole-range _sweep_shard call, the labeled per-block path."""
+    checked, tight, max_total, tight_masks, violation = sweep_mod._sweep_shard(
+        (n, 0, 1 << (n * (n - 1) // 2), tight_cap))
+    assert violation is None
+    scale, _ = sweep_mod.scaled_weights(range(2, n + 1))
+    return sweep_mod.SweepStats(
+        n=n, graphs_checked=checked, violations=0,
+        min_slack=Fraction(n * n, 4) - Fraction(max_total, scale), tight_count=tight,
+        tight_examples=tuple(write_graph6(graph_from_mask(n, m)) for m in tight_masks),
+        max_total_weight=Fraction(max_total, scale))
+
+
+class TestClassSweepMatchesLabeledShard:
+    """One block per class of H, counted by orbit size, against every labeled block."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("tight_cap", [0, 1, 3, 10])
+    @pytest.mark.parametrize("n", range(7))
+    def test_stats(self, monkeypatch, pool_sizes, n, tight_cap, jobs):
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
+        assert sweep_all_graphs(n, jobs=jobs, tight_cap=tight_cap) == stats_from_one_shard(
+            n, tight_cap)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("inflate", [inflate_all, inflate_r2])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_first_violation(self, monkeypatch, pool_sizes, n, inflate, jobs):
+        real = sweep_mod.scaled_weights
+
+        def inflated(rs):
+            scale, table = real(rs)
+            return scale, inflate(table)
+
+        monkeypatch.setattr(sweep_mod, "scaled_weights", inflated)
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
+        violation = sweep_mod._sweep_shard((n, 0, 1 << (n * (n - 1) // 2), 0))[4]
+        assert violation is not None
+        g6 = write_graph6(graph_from_mask(n, violation))
+        with pytest.raises(InvariantViolation) as info:
+            sweep_all_graphs(n, jobs=jobs)
+        assert str(info.value) == f"sweep total disagrees with weight_report on graph {g6}"
 
 
 class TestFuzzRandom:
