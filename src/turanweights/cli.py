@@ -308,7 +308,9 @@ def _campaign(args, params: dict, stats: SweepStats, note: str = "") -> int:
 
 
 def _cmd_sweep(args) -> int:
-    stats = sweep_all_graphs(args.n, cap=args.cap, jobs=args.jobs, tight_cap=args.tight_cap)
+    if args.jobs < 1:
+        raise ValueError(f"job count must be >= 1, got {args.jobs}")
+    stats = sweep_all_graphs(args.n, cap=args.cap, tight_cap=args.tight_cap)
     return _campaign(args, {"n": args.n}, stats, f": all {stats.graphs_checked} labeled graphs")
 
 
@@ -416,7 +418,8 @@ def _build_parser(parser_class: type[argparse.ArgumentParser]) -> argparse.Argum
 
     swp = sub.add_parser("sweep", help="verify the bound on every labeled graph on n vertices")
     swp.add_argument("--n", type=int, required=True)
-    swp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    swp.add_argument("--jobs", type=int, default=1,
+                     help="accepted and ignored: the sweep runs in one process (default 1)")
     swp.add_argument("--cap", type=int, default=DEFAULT_SWEEP_CAP,
                      help=f"refuse n above this cap (default {DEFAULT_SWEEP_CAP})")
     swp.add_argument("--tight-cap", type=int, default=DEFAULT_TIGHT_CAP,

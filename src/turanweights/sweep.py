@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +68,9 @@ def _mask_rows(n: int, mask: int) -> list[int]:
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
+    bits = len(mask_pairs(n))
+    if not 0 <= mask < 1 << bits:
+        raise ValueError(f"mask {mask} is out of range for n={n}: need 0 <= mask < 2^{bits}")
     return Graph(n, tuple(_mask_rows(n, mask)))
 
 
@@ -168,10 +170,6 @@ def orbit_table(k: int) -> Orbits:
     return Orbits(labels, reps, sizes)
 
 
-# one block check's result: (checked, tight, max_total_scaled, tight masks, first violating mask)
-BlockResult = tuple[int, int, int, list[int], int | None]
-
-
 class _Blocks:
     """The vertex-0 block check of the n-vertex sweep, with its per-n tables.
 
@@ -194,9 +192,10 @@ class _Blocks:
         self.inner_pairs = [[b for b, (u, v) in enumerate(self.pairs) if nbhd >> u & nbhd >> v & 1]
                             for nbhd in range(1 << k)]
 
-    def check(self, high: int, nbhds: range, tight_cap: int) -> BlockResult:
-        """Check the masks (high << k) | N for N in ``nbhds``, ascending, and
-        stop at the first one over the bound."""
+    def check(self, high: int, tight_cap: int) -> tuple[int, int, list[int], int | None]:
+        """Check the masks (high << k) | N for every N, ascending; return (tight
+        count, max_total_scaled, tight masks up to tight_cap, first violating
+        mask or None), stopping at the first mask over the bound."""
         table, bound4, members, inner_pairs = self.table, self.bound4, self.members, self.inner_pairs
         first = high << self.k
         adj = _mask_rows(self.k, high)
@@ -217,7 +216,7 @@ class _Blocks:
         tight = 0
         max_total = 0
         tight_masks: list[int] = []
-        for nbhd in nbhds:
+        for nbhd in range(1 << self.k):
             total = base
             for v in members[nbhd]:
                 total += spoke[nbhd & adj[v]]
@@ -227,69 +226,25 @@ class _Blocks:
                     total += gain[2]
             quad = 4 * total
             if quad > bound4:
-                return nbhd - nbhds.start, tight, max_total, tight_masks, first + nbhd
+                return tight, max_total, tight_masks, first + nbhd
             if quad == bound4:
                 tight += 1
                 if len(tight_masks) < tight_cap:
                     tight_masks.append(first + nbhd)
             if total > max_total:
                 max_total = total
-        return len(nbhds), tight, max_total, tight_masks, None
+        return tight, max_total, tight_masks, None
 
 
-def _sweep_shard(args: tuple[int, int, int, int]) -> BlockResult:
-    """Check masks in [lo, hi) of the n-vertex sweep, block by block; return
-    (checked, tight, max_total_scaled, tight_masks up to cap, first violating
-    mask or None).  The results are those of a per-mask loop."""
-    n, lo, hi, tight_cap = args
-    blocks = _Blocks(n)
-    k = blocks.k
-    checked = tight = max_total = 0
-    tight_masks: list[int] = []
-    violation = None
-    for high in range(lo >> k, (hi + (1 << k) - 1) >> k):
-        first = high << k
-        nbhds = range(max(lo - first, 0), min(hi - first, 1 << k))
-        block_checked, block_tight, block_max, block_masks, violation = blocks.check(
-            high, nbhds, tight_cap - len(tight_masks))
-        checked += block_checked
-        tight += block_tight
-        max_total = max(max_total, block_max)
-        tight_masks += block_masks
-        if violation is not None:
-            break
-    return checked, tight, max_total, tight_masks, violation
-
-
-def _sweep_classes(args: tuple[int, list[int]]) -> tuple[list[int], int, int | None]:
-    """Check the whole block of each graph H in ``highs``; return (tight count of
-    each block, max_total_scaled, first violating mask or None), stopping at
-    the first violation."""
-    n, highs = args
-    blocks = _Blocks(n)
-    every_nbhd = range(1 << blocks.k)
-    tights: list[int] = []
-    max_total = 0
-    for high in highs:
-        _, tight, block_max, _, violation = blocks.check(high, every_nbhd, 0)
-        if violation is not None:
-            return tights, max_total, violation
-        tights.append(tight)
-        max_total = max(max_total, block_max)
-    return tights, max_total, None
-
-
-def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
+def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
                      tight_cap: int = DEFAULT_TIGHT_CAP) -> SweepStats:
     """Verify the weight bound on every labeled graph on n vertices.
 
     Relabeling the graph H on vertices 1..n-1 relabels vertex 0's
     neighbourhood with it, so the blocks of isomorphic H hold the same
     totals.  The sweep checks one block per class of H, the block of the
-    class's least member, and counts its tight graphs once per member.
-    Classes are sharded over ``jobs`` worker processes (at most one per CPU
-    and one per shard) and merge in class order, so the outcome is identical
-    for any job count.  The first violating mask is in the block of the least
+    class's least member, in class order, and counts its tight graphs once
+    per member.  The first violating mask is in the block of the least
     violating class's least member, which that block's check returns; the
     first tight masks come from rechecking the labeled blocks of tight
     classes in ascending order.
@@ -300,39 +255,26 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
         raise ValueError("n must be nonnegative")
     if tight_cap < 0:
         raise ValueError(f"tight-example cap must be nonnegative, got {tight_cap}")
-    if jobs < 1:
-        raise ValueError(f"job count must be >= 1, got {jobs}")
     if n > SWEEP_MAX_N:
         raise ValueError(
             f"n={n} exceeds {SWEEP_MAX_N}, the largest n the labeled sweep runs: its orbit "
             f"table would hold 2^{(n - 1) * (n - 2) // 2} labels; larger n needs a sweep "
             f"over isomorphism classes")
     orbits = orbit_table(max(n - 1, 0))
-    reps = orbits.reps
-    jobs = min(jobs, os.cpu_count() or 1)
-    step = -(-len(reps) // min(len(reps), jobs * 8))
-    shards = [(n, reps[i:i + step]) for i in range(0, len(reps), step)]
-    if jobs == 1 or len(shards) == 1:
-        partials = [_sweep_classes(s) for s in shards]
-    else:
-        import multiprocessing  # here, not at module top: every command imports this module
-
-        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
-            partials = pool.map(_sweep_classes, shards)
-
+    blocks = _Blocks(n)
     tights: list[int] = []
     max_total = 0
-    for shard_tights, shard_max, violation in partials:
+    for high in orbits.reps:
+        class_tight, class_max, _, violation = blocks.check(high, 0)
         if violation is not None:
             # weight_report raises when the rational path sees the violation too
             g = graph_from_mask(n, violation)
             weight_report(g)
             raise InvariantViolation(
                 f"sweep total disagrees with weight_report on graph {write_graph6(g)}")
-        tights += shard_tights
-        max_total = max(max_total, shard_max)
+        tights.append(class_tight)
+        max_total = max(max_total, class_max)
 
-    blocks = _Blocks(n)
     tight = sum(t * size for t, size in zip(tights, orbits.sizes))
     tight_masks: list[int] = []
     wanted = min(tight, tight_cap)
@@ -340,7 +282,7 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP, jobs: int = 1,
         if len(tight_masks) == wanted:
             break
         if tights[c]:
-            tight_masks += blocks.check(high, range(1 << blocks.k), wanted - len(tight_masks))[3]
+            tight_masks += blocks.check(high, wanted - len(tight_masks))[2]
     part = (sum(orbits.sizes) << blocks.k, tight, Fraction(max_total, blocks.scale),
             (graph_from_mask(n, m) for m in tight_masks))
     return _tally(n, Fraction(n * n, 4), [part], tight_cap)
@@ -360,7 +302,7 @@ def _tally(n: int, bound: Fraction, parts: Iterable[Part], tight_cap: int) -> Sw
         checked += part_checked
         tight += part_tight
         max_total = max(max_total, part_max)
-        examples.extend(islice(part_graphs, tight_cap - len(examples)))
+        examples.extend(islice(part_graphs, min(part_tight, tight_cap - len(examples))))
     return SweepStats(
         n=n,
         graphs_checked=checked,

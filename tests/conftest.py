@@ -22,9 +22,11 @@ def all_graphs(n: int) -> Iterator[Graph]:
 
 
 def reference_sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, int, list[int], int | None]:
-    """sweep._sweep_shard as a per-mask loop: rebuild each graph and run
-    edge_clique_numbers on it.  Reads sweep.scaled_weights at call time, so a
-    test that patches the table patches both."""
+    """Check the masks in [lo, hi) of the n-vertex sweep one by one: rebuild
+    each graph and run edge_clique_numbers on it.  Returns (checked, tight,
+    max_total_scaled, tight masks up to tight_cap, first violating mask or
+    None), stopping at the first violation.  Reads sweep.scaled_weights at
+    call time, so a test that patches the table patches both."""
     n, lo, hi, tight_cap = args
     pairs = mask_pairs(n)
     scale, table = sweep_mod.scaled_weights(range(2, n + 1))

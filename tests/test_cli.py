@@ -369,6 +369,15 @@ class TestSweepCommand:
         assert json.loads(err) == {"error": {
             "kind": "usage", "message": "tight-example cap must be nonnegative, got -1"}}
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_tight_cap_past_sys_maxsize(self, fmt):
+        # any cap at or above the tight count prints what a cap of 1000 prints
+        expected = run_cli(["sweep", "--n", "3", "--tight-cap", "1000", "--format", fmt])
+        assert expected[0] == 0
+        huge = run_cli(["sweep", "--n", "3", "--tight-cap", "99999999999999999999",
+                        "--format", fmt])
+        assert huge == expected
+
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_nonpositive_jobs_exit_1(self, jobs):
         message = f"job count must be >= 1, got {jobs}"

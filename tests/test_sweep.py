@@ -1,7 +1,8 @@
-import multiprocessing
+import json
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -22,30 +23,9 @@ from turanweights import (
     write_graph6,
 )
 import turanweights.sweep as sweep_mod
+from turanweights.cli import _plain, main
 
 from conftest import all_graphs, reference_sweep_shard
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Run sweep shards in-process instead of in a Pool; returns the sizes requested."""
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    return sizes
 
 
 class TestSweepAllGraphs:
@@ -87,28 +67,16 @@ class TestSweepAllGraphs:
             assert stats.max_total_weight == max(totals)
             assert stats.tight_count == sum(1 for s in slacks if s == 0)
 
-    def test_job_count_does_not_change_results(self):
-        assert sweep_all_graphs(5, jobs=1) == sweep_all_graphs(5, jobs=3)
-
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
-        assert sweep_all_graphs(5, jobs=10_000) == sweep_all_graphs(5, jobs=1)
-        assert pool_sizes == [3]
-
-    def test_pool_sized_to_shards(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
-        # the graphs on vertices 1..2 of n = 3 form two classes, hence two one-class shards
-        assert sweep_all_graphs(3, jobs=8) == sweep_all_graphs(3, jobs=1)
-        assert pool_sizes == [2]
-
     def test_negative_tight_cap_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sweep_all_graphs(3, tight_cap=-1)
 
-    @pytest.mark.parametrize("jobs", [0, -5])
-    def test_nonpositive_jobs_rejected(self, jobs):
-        with pytest.raises(ValueError, match=f"job count must be >= 1, got {jobs}"):
-            sweep_all_graphs(3, jobs=jobs)
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_tight_cap_past_tight_count(self, n):
+        # a cap beyond sys.maxsize keeps every tight graph, as any cap at or past the count does
+        every = sweep_all_graphs(n, tight_cap=sweep_all_graphs(n).tight_count)
+        assert sweep_all_graphs(n, tight_cap=10**20) == every
+        assert len(every.tight_examples) == every.tight_count
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -156,13 +124,6 @@ class TestSweepAllGraphs:
                 assert verify_theorem(turan_graph(n, r)) == 0
 
 
-def shard_args(n, step, tight_cap=3):
-    """The shards of an n-vertex sweep cut every ``step`` masks (None: one shard)."""
-    total = 1 << (n * (n - 1) // 2)
-    step = step or total
-    return [(n, lo, min(lo + step, total), tight_cap) for lo in range(0, total, step)]
-
-
 def inflate_all(table):
     return [2 * a for a in table]
 
@@ -172,45 +133,70 @@ def inflate_r2(table):
     return [a + 2 * (r == 2) for r, a in enumerate(table)]
 
 
-class TestBlockShard:
-    """The vertex-0 block recurrence against the per-mask reference loop."""
+def inflate_weights(monkeypatch, inflate):
+    """Patch the sweep's weight table, which reference_sweep_shard reads too."""
+    real = sweep_mod.scaled_weights
 
-    @pytest.mark.parametrize("step", [1, 3, 7, 64, 1000, None])
+    def inflated(rs):
+        scale, table = real(rs)
+        return scale, inflate(table)
+
+    monkeypatch.setattr(sweep_mod, "scaled_weights", inflated)
+
+
+def check_matches_reference(blocks, n, high, tight_cap):
+    """The check of one whole block against the per-mask reference over it.
+
+    A tight_cap of None keeps every tight mask of the block.
+    """
+    first = high << blocks.k
+    size = 1 << blocks.k
+    tight_cap = size if tight_cap is None else tight_cap
+    result = blocks.check(high, tight_cap)
+    checked, *ref = reference_sweep_shard((n, first, first + size, tight_cap))
+    assert result == tuple(ref), (n, high, tight_cap)
+    assert checked == (size if result[3] is None else result[3] - first)
+    return result
+
+
+class TestBlockShard:
+    """The vertex-0 block recurrence, one whole block at a time, against the
+    per-mask reference loop; the parameter after n is the tight cap."""
+
+    @pytest.mark.parametrize("tight_cap", [0, 1, 3, 7, 64, 1000, None])
     @pytest.mark.parametrize("n", range(7))
-    def test_every_split_matches_reference(self, n, step):
-        for args in shard_args(n, step):
-            assert sweep_mod._sweep_shard(args) == reference_sweep_shard(args), args
+    def test_every_split_matches_reference(self, n, tight_cap):
+        blocks = sweep_mod._Blocks(n)
+        for high in range(1 << len(blocks.pairs)):
+            check_matches_reference(blocks, n, high, tight_cap)
 
     @pytest.mark.parametrize("high", [0, 1, 2, 3, 777, 4096, 12345, 21845, 32766, 32767])
     def test_n7_blocks_match_reference(self, high):
-        total = 1 << 21
-        first = high << 6
-        for lo, hi in [(first, first + 64), (first + 5, first + 37),
-                       (first + 40, min(first + 137, total))]:
-            args = (7, lo, hi, 3)
-            assert sweep_mod._sweep_shard(args) == reference_sweep_shard(args), args
+        blocks = sweep_mod._Blocks(7)
+        for tight_cap in [0, 3, None]:
+            check_matches_reference(blocks, 7, high, tight_cap)
 
     @pytest.mark.parametrize("inflate", [inflate_all, inflate_r2])
-    @pytest.mark.parametrize("step", [3, 7, 64, 1000, None])
+    @pytest.mark.parametrize("tight_cap", [3, 7, 64, 1000, None])
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_violation_stops_where_reference_does(self, monkeypatch, n, step, inflate):
-        real = sweep_mod.scaled_weights
+    def test_violation_stops_where_reference_does(self, monkeypatch, n, tight_cap, inflate):
+        inflate_weights(monkeypatch, inflate)
+        blocks = sweep_mod._Blocks(n)
+        results = [check_matches_reference(blocks, n, high, tight_cap)
+                   for high in range(1 << len(blocks.pairs))]
+        assert any(violation is not None for *_, violation in results)
 
-        def inflated(rs):
-            scale, table = real(rs)
-            return scale, inflate(table)
 
-        monkeypatch.setattr(sweep_mod, "scaled_weights", inflated)
-        results = [(sweep_mod._sweep_shard(args), reference_sweep_shard(args))
-                   for args in shard_args(n, step)]
-        assert all(new == ref for new, ref in results)
-        assert any(new[4] is not None for new, _ in results)
+class TestGraphFromMask:
+    def test_extreme_masks(self):
+        assert graph_from_mask(3, 0).edge_count() == 0
+        assert graph_from_mask(3, 7) == complete_graph(3)
+        assert graph_from_mask(0, 0).n == 0
 
-    def test_unaligned_shards(self, monkeypatch, pool_sizes):
-        # the 34 classes of the graphs on vertices 1..5 go to 17 shards of two, on 3 workers
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
-        assert sweep_all_graphs(6, jobs=3) == sweep_all_graphs(6, jobs=1)
-        assert pool_sizes == [3]
+    @pytest.mark.parametrize("n, mask", [(3, 8), (3, -1), (0, 1), (1, 1), (4, 1 << 6)])
+    def test_out_of_range_rejected(self, n, mask):
+        with pytest.raises(ValueError, match=rf"^mask {mask} is out of range for n={n}: "):
+            graph_from_mask(n, mask)
 
 
 def relabel(k, mask, perm):
@@ -269,10 +255,15 @@ class TestOrbitTable:
             assert len(seen) == factorial(k) == len(sweep_mod._plain_changes(k)) + 1
 
 
-def stats_from_one_shard(n, tight_cap):
-    """The SweepStats of one whole-range _sweep_shard call, the labeled per-block path."""
-    checked, tight, max_total, tight_masks, violation = sweep_mod._sweep_shard(
-        (n, 0, 1 << (n * (n - 1) // 2), tight_cap))
+def range_masks(n):
+    return 1 << (n * (n - 1) // 2)
+
+
+@cache
+def reference_stats(n, tight_cap):
+    """The SweepStats of the per-mask reference loop over every labeled graph on n vertices."""
+    checked, tight, max_total, tight_masks, violation = reference_sweep_shard(
+        (n, 0, range_masks(n), tight_cap))
     assert violation is None
     scale, _ = sweep_mod.scaled_weights(range(2, n + 1))
     return sweep_mod.SweepStats(
@@ -283,34 +274,34 @@ def stats_from_one_shard(n, tight_cap):
 
 
 class TestClassSweepMatchesLabeledShard:
-    """One block per class of H, counted by orbit size, against every labeled block."""
+    """One block per class of H, counted by orbit size, against the per-mask
+    reference over every labeled graph; ``jobs`` is the CLI's --jobs, which
+    the one-process sweep accepts and ignores."""
 
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("tight_cap", [0, 1, 3, 10])
     @pytest.mark.parametrize("n", range(7))
-    def test_stats(self, monkeypatch, pool_sizes, n, tight_cap, jobs):
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
-        assert sweep_all_graphs(n, jobs=jobs, tight_cap=tight_cap) == stats_from_one_shard(
-            n, tight_cap)
+    def test_stats(self, capsys, n, tight_cap, jobs):
+        expected = reference_stats(n, tight_cap)
+        assert sweep_all_graphs(n, tight_cap=tight_cap) == expected
+        argv = ["sweep", "--n", str(n), "--tight-cap", str(tight_cap), "--jobs", str(jobs)]
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"] == _plain(expected)
 
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("inflate", [inflate_all, inflate_r2])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_first_violation(self, monkeypatch, pool_sizes, n, inflate, jobs):
-        real = sweep_mod.scaled_weights
-
-        def inflated(rs):
-            scale, table = real(rs)
-            return scale, inflate(table)
-
-        monkeypatch.setattr(sweep_mod, "scaled_weights", inflated)
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 3)
-        violation = sweep_mod._sweep_shard((n, 0, 1 << (n * (n - 1) // 2), 0))[4]
+    def test_first_violation(self, monkeypatch, capsys, n, inflate, jobs):
+        inflate_weights(monkeypatch, inflate)
+        violation = reference_sweep_shard((n, 0, range_masks(n), 0))[4]
         assert violation is not None
-        g6 = write_graph6(graph_from_mask(n, violation))
+        message = ("sweep total disagrees with weight_report on graph "
+                   + write_graph6(graph_from_mask(n, violation)))
         with pytest.raises(InvariantViolation) as info:
-            sweep_all_graphs(n, jobs=jobs)
-        assert str(info.value) == f"sweep total disagrees with weight_report on graph {g6}"
+            sweep_all_graphs(n)
+        assert str(info.value) == message
+        assert main(["sweep", "--n", str(n), "--jobs", str(jobs), "--format", "json"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
 
 class TestFuzzRandom:
