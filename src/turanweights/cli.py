@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,18 +100,18 @@ def _plain(value):
     """JSON form of a library value, field for field.
 
     Rationals become p/q strings, simplex points their coordinate lists,
-    clique sets their vertex lists, and dataclasses dicts keyed by field name.
+    clique sets their vertex lists, records (tuples with ``_fields``) dicts
+    keyed by field name, and other tuples lists.  Clique sets and simplex
+    points are tuples too, so they are tested first.
     """
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, SimplexPoint):
-        return _plain(value.coords)
-    if isinstance(value, CliqueSet):
-        return list(value.vertices)
-    if isinstance(value, tuple):
+    if isinstance(value, (CliqueSet, SimplexPoint)):
         return [_plain(v) for v in value]
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        if hasattr(value, "_fields"):
+            return {name: _plain(v) for name, v in zip(value._fields, value)}
+        return [_plain(v) for v in value]
     return value
 
 

@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class CliqueSet:
+class CliqueSet(tuple):
     """Vertices of one clique, sorted ascending."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if list(self.vertices) != sorted(set(self.vertices)):
+    def __new__(cls, vertices: Iterable[int]) -> CliqueSet:
+        self = super().__new__(cls, vertices)
+        if list(self) != sorted(set(self)):
             raise ValueError("clique vertices must be sorted and distinct")
+        return self
 
-    def __len__(self) -> int:
-        return len(self.vertices)
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices)
+    def __repr__(self) -> str:
+        return f"CliqueSet(vertices={tuple(self)!r})"
 
 
 def _color_order(adj: Sequence[int], cand: int) -> list[tuple[int, int]]:

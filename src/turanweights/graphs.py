@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 68719476735  # largest vertex count the size header can carry (2^36 - 1)
 # largest edge-list header accepted: the most vertices any command takes
@@ -16,35 +16,34 @@ class Graph6Error(ValueError):
     """Malformed graph6 input."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n adj")):
     """Undirected simple graph on vertices 0..n-1.
 
     ``adj[v]`` is the neighbor set of ``v`` as a bitmask.  Instances are
     immutable and safe to share across threads.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        if len(self.adj) != self.n:
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             # a negative row has bits at every position, so this rejects it too
-            if row >> self.n:
-                raise ValueError(f"adjacency of vertex {v} references vertices >= {self.n}")
+            if row >> n:
+                raise ValueError(f"adjacency of vertex {v} references vertices >= {n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             m = row
             while m:
                 u = (m & -m).bit_length() - 1
                 m &= m - 1
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        return tuple.__new__(cls, (n, adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

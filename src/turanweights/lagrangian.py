@@ -12,13 +12,13 @@ module computes in exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb, lcm
 from operator import add, mul
-from typing import Iterator, Sequence
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
 from .cliques import CliqueSet, _iter_clique_tuples, edge_clique_numbers, max_clique_size
@@ -42,19 +42,18 @@ def _as_exact(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class WeightScheme:
+class WeightScheme(namedtuple("WeightScheme", "mode c")):
     """Edge weighting: clique-number weights, or one constant for every edge."""
 
-    mode: str
-    c: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("clique", "constant"):
-            raise ValueError(f"unknown weight mode {self.mode!r}")
-        object.__setattr__(self, "c", _as_exact(self.c))
-        if self.mode == "constant" and self.c <= 0:
+    def __new__(cls, mode: str, c: Fraction = Fraction(1)) -> WeightScheme:
+        if mode not in ("clique", "constant"):
+            raise ValueError(f"unknown weight mode {mode!r}")
+        c = _as_exact(c)
+        if mode == "constant" and c <= 0:
             raise ValueError("constant weight must be positive")
+        return tuple.__new__(cls, (mode, c))
 
     @staticmethod
     def clique_weighted() -> "WeightScheme":
@@ -62,27 +61,33 @@ class WeightScheme:
 
     @staticmethod
     def constant(c) -> "WeightScheme":
-        return WeightScheme("constant", _as_exact(c))
+        return WeightScheme("constant", c)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
+class SimplexPoint(tuple):
     """Exact barycentric coordinates: nonnegative rationals summing to 1.
 
     The zero-length point is allowed as the single (vacuous) point used for
     graphs with no vertices.
     """
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coords = tuple(_as_exact(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        den, nums = _common_denominator(coords)
+    def __new__(cls, coords: Iterable[Fraction]) -> SimplexPoint:
+        self = super().__new__(cls, [_as_exact(c) for c in coords])
+        den, nums = _common_denominator(self)
         if any(num < 0 for num in nums):
             raise ValueError("simplex coordinates must be nonnegative")
-        if coords and sum(nums) != den:
-            raise ValueError(f"simplex coordinates must sum to 1, got {sum(coords)}")
+        if self and sum(nums) != den:
+            raise ValueError(f"simplex coordinates must sum to 1, got {sum(self)}")
+        return self
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"SimplexPoint(coords={tuple(self)!r})"
 
     @staticmethod
     def uniform(n: int) -> "SimplexPoint":
@@ -90,15 +95,12 @@ class SimplexPoint:
             raise ValueError("uniform point needs at least one coordinate")
         return SimplexPoint((Fraction(1, n),) * n)
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if c > 0)
+        return tuple(i for i, c in enumerate(self) if c > 0)
 
     def support_mask(self) -> int:
         m = 0
-        for i, c in enumerate(self.coords):
+        for i, c in enumerate(self):
             if c > 0:
                 m |= 1 << i
         return m
@@ -148,9 +150,9 @@ def _common_denominator(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def _scaled_point(g: Graph, x: SimplexPoint) -> tuple[int, list[int]]:
-    if len(x.coords) != g.n:
-        raise ValueError(f"point has {len(x.coords)} coordinates, graph has {g.n} vertices")
-    return _common_denominator(x.coords)
+    if len(x) != g.n:
+        raise ValueError(f"point has {len(x)} coordinates, graph has {g.n} vertices")
+    return _common_denominator(x)
 
 
 def _form(edges, xs: Sequence[int]) -> int:
@@ -184,32 +186,30 @@ def side_sum(g: Graph, scheme: WeightScheme, x: SimplexPoint, i: int) -> Fractio
     return Fraction(_side(_weight_matrix(g.n, edges), xs, i), scale * den)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(namedtuple("ReductionStep", "i j s_i s_j f_before f_after point_after")):
     """One mass shift: coordinate j is zeroed, its mass moves onto i.
 
     The pair is non-adjacent with both coordinates positive beforehand, and
     s_i >= s_j, so f_after - f_before = x_j (s_i - s_j) >= 0.
     """
 
-    i: int
-    j: int
-    s_i: Fraction
-    s_j: Fraction
-    f_before: Fraction
-    f_after: Fraction
-    point_after: SimplexPoint
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple[ReductionStep, ...] = ()
+class ReductionTrace(tuple):
+    """The steps of one support reduction, in order."""
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    __slots__ = ()
 
-    def __iter__(self) -> Iterator[ReductionStep]:
-        return iter(self.steps)
+    def __new__(cls, steps: Iterable[ReductionStep] = ()) -> ReductionTrace:
+        return super().__new__(cls, steps)
+
+    @property
+    def steps(self) -> tuple[ReductionStep, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"ReductionTrace(steps={tuple(self)!r})"
 
 
 def _first_nonadjacent_positive_pair(adj: Sequence[int], pos: int) -> tuple[int, int] | None:
@@ -237,7 +237,7 @@ def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[Sim
     mat = _weight_matrix(g.n, edges)
     s_den = scale * den
     f_den = s_den * den
-    coords = list(x.coords)
+    coords = list(x)
     pos = x.support_mask()
     point = x
     form_before = _form(edges, xs)
@@ -264,29 +264,28 @@ def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[Sim
         coords[i] = Fraction(xs[i], den)
         coords[j] = Fraction(0)
         pos &= ~(1 << j)
-        point = SimplexPoint(tuple(coords))
+        point = SimplexPoint(coords)
         steps.append(ReductionStep(i, j, Fraction(s_i, s_den), Fraction(s_j, s_den),
                                    Fraction(form_before, f_den), Fraction(form_after, f_den),
                                    point))
         form_before = form_after
-    return point, ReductionTrace(tuple(steps))
+    return point, ReductionTrace(steps)
 
 
-@dataclass(frozen=True)
-class CliqueCandidate:
-    clique: CliqueSet
-    status: str
-    value: Fraction | None
+class CliqueCandidate(namedtuple("CliqueCandidate", "clique status value")):
+    """One ledger row: a clique, its solve status, and its interior value or None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LagrangianOutcome:
+class LagrangianOutcome(namedtuple("LagrangianOutcome", "maximum support witness candidates")):
     """Exact simplex maximum with a witnessing point and the candidate ledger."""
 
-    maximum: Fraction
-    support: CliqueSet
-    witness: SimplexPoint
-    candidates: tuple[CliqueCandidate, ...] = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return (f"LagrangianOutcome(maximum={self.maximum!r}, support={self.support!r}, "
+                f"witness={self.witness!r})")
 
 
 def _clique_stationary(scale: int, mat: Sequence[Sequence[int]], clique: tuple[int, ...]):

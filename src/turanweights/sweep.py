@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, SplitMix64, from_edge_list, random_gnp, turan_graph, write_graph6
 from .lagrangian import WeightScheme, lagrangian_maximum
@@ -27,8 +27,8 @@ SWEEP_MAX_N = 9
 _UNLABELED = 0xFFFF
 
 
-@dataclass(frozen=True)
-class SweepStats:
+class SweepStats(namedtuple("SweepStats", "n graphs_checked violations min_slack tight_count "
+                                          "tight_examples max_total_weight")):
     """Exact aggregate of one verification campaign.
 
     For the edge-bound campaign (turan_bound_campaign) the totals are edge
@@ -36,13 +36,7 @@ class SweepStats:
     against n^2/4; all other fields keep their meaning.
     """
 
-    n: int
-    graphs_checked: int
-    violations: int
-    min_slack: Fraction
-    tight_count: int
-    tight_examples: tuple[str, ...]
-    max_total_weight: Fraction
+    __slots__ = ()
 
 
 # one part of a campaign: (graphs checked, tight count, max total, tight graphs)
@@ -90,17 +84,15 @@ def _clique_table(adj: list[int]) -> list[int]:
     return om
 
 
-class Orbits(NamedTuple):
+class Orbits(namedtuple("Orbits", "labels reps sizes")):
     """The isomorphism classes of the graphs on k vertices, as masks over mask_pairs(k).
 
-    ``labels[mask]`` is the index of the mask's class.  Classes are numbered
-    by their least member, ascending: class c has least member ``reps[c]``
-    and ``sizes[c]`` members.
+    ``labels[mask]`` (an array) is the index of the mask's class.  Classes are
+    numbered by their least member, ascending: class c has least member
+    ``reps[c]`` and ``sizes[c]`` members (lists of ints).
     """
 
-    labels: array
-    reps: list[int]
-    sizes: list[int]
+    __slots__ = ()
 
 
 def _bit_table(images: list[int]) -> list[int]:
@@ -278,11 +270,20 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
     tight = sum(t * size for t, size in zip(tights, orbits.sizes))
     tight_masks: list[int] = []
     wanted = min(tight, tight_cap)
-    for high, c in enumerate(orbits.labels):
-        if len(tight_masks) == wanted:
-            break
-        if tights[c]:
-            tight_masks += blocks.check(high, wanted - len(tight_masks))[2]
+    # the next unchecked block of each tight class, starting at its least
+    # member; array.index finds the following one, and a class whose members
+    # are all checked is dropped rather than searched to the end of the table
+    upcoming = {c: orbits.reps[c] for c, t in enumerate(tights) if t}
+    left = {c: orbits.sizes[c] for c in upcoming}
+    while len(tight_masks) < wanted:
+        c = min(upcoming, key=upcoming.__getitem__)
+        high = upcoming[c]
+        tight_masks += blocks.check(high, wanted - len(tight_masks))[2]
+        left[c] -= 1
+        if left[c]:
+            upcoming[c] = orbits.labels.index(c, high + 1)
+        else:
+            del upcoming[c]
     part = (sum(orbits.sizes) << blocks.k, tight, Fraction(max_total, blocks.scale),
             (graph_from_mask(n, m) for m in tight_masks))
     return _tally(n, Fraction(n * n, 4), [part], tight_cap)

@@ -8,10 +8,10 @@ enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
 from .cliques import edge_clique_numbers, max_clique_size
@@ -34,24 +34,17 @@ class CorollaryViolation(InvariantViolation):
     """A K_{r+1}-free graph exceeded the (1 - 1/r) n^2/2 edge bound."""
 
 
-@dataclass(frozen=True)
-class EdgeWeightRecord:
-    u: int
-    v: int
-    r: int
-    w: Fraction
+class EdgeWeightRecord(namedtuple("EdgeWeightRecord", "u v r w")):
+    """Edge (u, v), u < v, its clique number r and its weight w."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(namedtuple("WeightReport", "graph rs total bound slack")):
     """Clique number of each edge, in Graph.edges() order, with the exact
     bound comparison; per-edge records are built only when asked for."""
 
-    graph: Graph
-    rs: tuple[int, ...]
-    total: Fraction
-    bound: Fraction
-    slack: Fraction
+    __slots__ = ()
 
     @property
     def n(self) -> int:

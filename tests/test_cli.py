@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import turanweights
 from turanweights import (
     TheoremViolation,
     complete_graph,
@@ -485,6 +487,24 @@ class TestImport:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True)
         assert result.stdout == "False\n"
+
+    def test_cli_import_skips_slow_stdlib_modules(self):
+        # each costs start-up time on every call; -S keeps site's .pth files,
+        # which may load typing themselves, out of the child
+        src = str(Path(turanweights.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import turanweights.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "[]\n"
+
+    def test_cli_import_adds_no_dataclasses_or_inspect(self):
+        # with site: whatever site loaded is not counted, only what the import adds
+        code = ("import sys; before = set(sys.modules); import turanweights.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "[]\n"
 
     def test_grid_oracle_leaves_numpy_unloaded(self):
         code = ("import sys; from turanweights.cli import main; "

@@ -288,6 +288,14 @@ class TestClassSweepMatchesLabeledShard:
         assert main([*argv, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["stats"] == _plain(expected)
 
+    @pytest.mark.parametrize("tight_cap", [0, 1, 3, 10, 1000])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_tight_examples(self, n, tight_cap):
+        # the reference's first 1000 tight graphs, cut to tight_cap, are its first
+        # tight_cap; at n = 7 the one tight graph, K_7, is the last mask
+        expected = reference_stats(n, 1000).tight_examples[:tight_cap]
+        assert sweep_all_graphs(n, tight_cap=tight_cap).tight_examples == expected
+
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("inflate", [inflate_all, inflate_r2])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
