@@ -12,9 +12,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
+from json.encoder import encode_basestring_ascii
 
-from .cliques import CliqueSet
 from .graphs import (
     Graph,
     Graph6Error,
@@ -71,7 +70,8 @@ def _read_graphs(source: str, input_format: str) -> list[Graph]:
     if source == "-":
         text = sys.stdin.read()
     else:
-        text = Path(source).read_text()
+        with open(source) as f:
+            text = f.read()
     fmt = input_format
     if fmt == "auto":
         fmt = "graph6"
@@ -96,23 +96,39 @@ def _read_graphs(source: str, input_format: str) -> list[Graph]:
     return graphs
 
 
-def _plain(value):
-    """JSON form of a library value, field for field.
+# the writer's scalars, by exact type: library values hold no subclass of them
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: '"{!s}"'.format,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
-    Rationals become p/q strings, simplex points their coordinate lists,
-    clique sets their vertex lists, records (tuples with ``_fields``) dicts
-    keyed by field name, and other tuples lists.  Clique sets and simplex
-    points are tuples too, so they are tested first.
-    """
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (CliqueSet, SimplexPoint)):
-        return [_plain(v) for v in value]
-    if isinstance(value, tuple):
-        if hasattr(value, "_fields"):
-            return {name: _plain(v) for name, v in zip(value._fields, value)}
-        return [_plain(v) for v in value]
-    return value
+
+def _json(value, nl: str = "\n") -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)`` for library values:
+    rationals as p/q strings, records (tuples with ``_fields``) as objects keyed
+    by field name, other tuples and lists as arrays.  ``nl`` is the newline and
+    indent the value starts at; each container's items are joined once."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = nl + "  "
+    if isinstance(value, dict):
+        items = sorted(value.items())
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):
+        items = sorted(zip(value._fields, value))
+    elif isinstance(value, (tuple, list)):
+        return f"[{inner}{(',' + inner).join(_texts(value, inner))}{nl}]" if value else "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return "{}"
+    keys = [encode_basestring_ascii(k) + ": " for k, _ in items]
+    fields = map(str.__add__, keys, _texts([v for _, v in items], inner))
+    return f"{{{inner}{(',' + inner).join(fields)}{nl}}}"
+
+
+def _texts(values, inner: str) -> list[str]:
+    """_json of each value, at indent ``inner``, with no call for an exact scalar."""
+    return [_json(v, inner) if (scalar := _SCALARS.get(type(v))) is None else scalar(v)
+            for v in values]
 
 
 def _join(items) -> str:
@@ -123,19 +139,19 @@ def _tsv(*columns) -> str:
     return "\t".join(map(str, columns))
 
 
-def _render(args, envelope: dict, records: list[dict], human, tsv) -> int:
-    """Print the JSON envelope, or each record's human lines or TSV rows.
+def _render(args, envelope: dict, records: list, human, tsv) -> int:
+    """Write the JSON envelope, or each record's human lines or TSV rows, at once.
 
-    The renderers read only the record, which is the dict the envelope
-    carries, so all three formats print the same strings.
+    The renderers read only the record, which is what the envelope carries,
+    so all three formats print the same values.
     """
     if args.format == "json":
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        text = _json(envelope) + "\n"
     else:
         render = tsv if args.format == "tsv" else human
-        for idx, record in enumerate(records, 1):
-            for line in render(idx, record):
-                print(line)
+        text = "".join([f"{line}\n" for idx, record in enumerate(records, 1)
+                        for line in render(idx, record)])
+    sys.stdout.write(text)
     return 0
 
 
@@ -169,16 +185,16 @@ def _summary_record(rep: WeightReport) -> dict:
     return {
         "n": rep.n,
         "edge_count": len(rep.rs),
-        "total": str(rep.total),
-        "bound": str(rep.bound),
-        "slack": str(rep.slack),
+        "total": rep.total,
+        "bound": rep.bound,
+        "slack": rep.slack,
         "tight": rep.tight,
     }
 
 
 def _weights_record(idx: int, g: Graph) -> dict:
     rep = weight_report(g)
-    return {**_summary_record(rep), "records": _plain(rep.records)}
+    return {**_summary_record(rep), "records": rep.records}
 
 
 def _cmd_weights(args) -> int:
@@ -187,13 +203,13 @@ def _cmd_weights(args) -> int:
         lambda idx, rep: [
             f"graph {idx}: n={rep['n']} edges={rep['edge_count']}",
             "  u v r w",
-            *(f"  {r['u']} {r['v']} {r['r']} {r['w']}" for r in rep["records"]),
+            *(f"  {r.u} {r.v} {r.r} {r.w}" for r in rep["records"]),
             f"  total {rep['total']}",
             f"  bound {rep['bound']}",
             f"  slack {rep['slack']}{'  (tight)' if rep['tight'] else ''}",
         ],
         lambda idx, rep: [
-            *(_tsv("edge", idx, r["u"], r["v"], r["r"], r["w"]) for r in rep["records"]),
+            *(_tsv("edge", idx, r.u, r.v, r.r, r.w) for r in rep["records"]),
             _tsv("summary", idx, rep["n"], rep["edge_count"],
                  rep["total"], rep["bound"], rep["slack"]),
         ])
@@ -210,7 +226,7 @@ def _cmd_verify(args) -> int:
 def _scheme_dict(scheme: WeightScheme) -> dict:
     out = {"mode": scheme.mode}
     if scheme.mode == "constant":
-        out["constant"] = str(scheme.c)
+        out["constant"] = scheme.c
     return out
 
 
@@ -218,13 +234,13 @@ def _cmd_lagrangian(args) -> int:
     scheme = _parse_mode(args.mode)
     return _per_graph(
         args, {"command": "lagrangian", "scheme": _scheme_dict(scheme)},
-        lambda idx, g: {"n": g.n, **_plain(lagrangian_maximum(g, scheme))},
+        lambda idx, g: {"n": g.n, **lagrangian_maximum(g, scheme)._asdict()},
         lambda idx, rep: [
             f"graph {idx}: maximum {rep['maximum']}",
             f"  support {_join(rep['support'])}",
             f"  witness {_join(rep['witness'])}",
             f"  candidates {len(rep['candidates'])}",
-            *(f"    {_join(c['clique'])} {c['status']} {c['value'] or '-'}"
+            *(f"    {_join(c.clique)} {c.status} {'-' if c.value is None else c.value}"
               for c in rep["candidates"] if args.ledger),
         ],
         lambda idx, rep: [_tsv("lagrangian", idx, rep["maximum"],
@@ -246,11 +262,11 @@ def _reduce_record(g: Graph, scheme: WeightScheme, start: SimplexPoint) -> dict:
     final, trace = support_reduce(g, scheme, start)
     return {
         "n": g.n,
-        "start": _plain(start),
-        "final": _plain(final),
-        "objective_start": str(objective_value(g, scheme, start)),
-        "objective_final": str(objective_value(g, scheme, final)),
-        "steps": _plain(trace.steps),
+        "start": start,
+        "final": final,
+        "objective_start": objective_value(g, scheme, start),
+        "objective_final": objective_value(g, scheme, final),
+        "steps": trace,
     }
 
 
@@ -261,13 +277,13 @@ def _cmd_reduce(args) -> int:
         lambda idx, g: _reduce_record(g, scheme, _start_point(args.start, g.n)),
         lambda idx, rep: [
             f"graph {idx}: steps {len(rep['steps'])}",
-            *(f"  move {s['j']}->{s['i']}  s_i={s['s_i']} s_j={s['s_j']} "
-              f"f {s['f_before']} -> {s['f_after']}" for s in rep["steps"]),
+            *(f"  move {s.j}->{s.i}  s_i={s.s_i} s_j={s.s_j} f {s.f_before} -> {s.f_after}"
+              for s in rep["steps"]),
             f"  final {_join(rep['final'])}",
             f"  objective {rep['objective_start']} -> {rep['objective_final']}",
         ],
         lambda idx, rep: [
-            *(_tsv("step", idx, s["i"], s["j"], s["s_i"], s["s_j"], s["f_before"], s["f_after"])
+            *(_tsv("step", idx, s.i, s.j, s.s_i, s.s_j, s.f_before, s.f_after)
               for s in rep["steps"]),
             _tsv("final", idx, _join(rep["final"]), rep["objective_final"]),
         ])
@@ -277,7 +293,7 @@ def _cmd_oracle(args) -> int:
     scheme = _parse_mode(args.mode)
     return _per_graph(
         args, {"command": "oracle", "scheme": _scheme_dict(scheme), "resolution": args.grid},
-        lambda idx, g: {"n": g.n, "value": str(grid_oracle(g, scheme, args.grid))},
+        lambda idx, g: {"n": g.n, "value": grid_oracle(g, scheme, args.grid)},
         lambda idx, rep: [f"graph {idx}: grid maximum {rep['value']} (resolution {args.grid})"],
         lambda idx, rep: [_tsv("oracle", idx, rep["value"])])
 
@@ -295,15 +311,15 @@ _STATS_FIELDS = {
 def _campaign(args, params: dict, stats: SweepStats, note: str = "") -> int:
     """Render the one stats record of a sweep, fuzz or campaign run."""
     header = " ".join([args.command, *(f"{k}={v}" for k, v in params.items())]) + note
-    record = _plain(stats)
-    envelope = {"command": args.command, "params": params, "stats": record}
+    envelope = {"command": args.command, "params": params, "stats": stats}
     return _render(
-        args, envelope, [record],
+        args, envelope, [stats],
         lambda idx, rec: [header,
-                          *(f"  {label:<17}{rec[key]}" for key, label in _STATS_FIELDS.items()),
-                          *(f"  tight example    {g6}" for g6 in rec["tight_examples"])],
-        lambda idx, rec: [_tsv("stats", rec["n"], *(rec[key] for key in _STATS_FIELDS)),
-                          *(_tsv("tight", g6) for g6 in rec["tight_examples"])])
+                          *(f"  {label:<17}{getattr(rec, key)}"
+                            for key, label in _STATS_FIELDS.items()),
+                          *(f"  tight example    {g6}" for g6 in rec.tight_examples)],
+        lambda idx, rec: [_tsv("stats", rec.n, *(getattr(rec, key) for key in _STATS_FIELDS)),
+                          *(_tsv("tight", g6) for g6 in rec.tight_examples)])
 
 
 def _cmd_sweep(args) -> int:
@@ -316,7 +332,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fuzz(args) -> int:
     p = _parse_rational(args.p)
     stats = fuzz_random(args.n, p, args.count, args.seed, lagrangian_cap=args.lagrangian_cap)
-    params = {"n": args.n, "p": str(p), "count": args.count, "seed": args.seed}
+    params = {"n": args.n, "p": p, "count": args.count, "seed": args.seed}
     return _campaign(args, params, stats)
 
 

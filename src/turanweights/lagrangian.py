@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import islice
 from math import comb, lcm
 from operator import add, mul
 
@@ -326,10 +326,11 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     before any solve, when the graph has more than DEFAULT_CANDIDATE_CAP
     cliques.
 
-    A clique's system reads only its upper-triangle weights in clique order,
-    and the weights take few distinct values, so each distinct system is
-    solved once per call and its result reused for every later clique with
-    the same weights (K_17's 131,071 cliques need 17 solves).
+    A clique's system reads only its weights, and they take few distinct
+    values, so each distinct system is solved once per call and its result
+    reused for every later clique with the same weights (K_17's 131,071
+    cliques need 17 solves).  The depth-first walk keys a clique by its
+    parent's key plus the new vertex's weights to the parent's vertices.
 
     Under clique weights the maximum M must satisfy U <= M <= 1/4, where
     U = total weight / n^2 is f at the uniform point, or InvariantViolation
@@ -338,29 +339,39 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     if g.n == 0:
         return LagrangianOutcome(Fraction(0), CliqueSet(()), SimplexPoint(()), ())
     cap = DEFAULT_CANDIDATE_CAP
-    cliques = list(islice(_iter_clique_tuples(g.adj, (1 << g.n) - 1, ()), cap + 1))
-    if len(cliques) > cap:
+    adj = g.adj
+    if sum(1 for _ in islice(_iter_clique_tuples(adj, (1 << g.n) - 1, ()), cap + 1)) > cap:
         raise ValueError(f"candidate cliques exceed the cap of {cap}")
     scale, edges = _edge_weights(g, scheme)
     mat = _weight_matrix(g.n, edges)
     candidates: list[CliqueCandidate] = []
-    best_value: Fraction | None = None
-    best_clique: tuple[int, ...] = ()
-    best_coords: list[Fraction] = []
     solved: dict[tuple[int, ...], tuple] = {}
-    for clique in cliques:
-        # from a list, not a generator: tuple() of a generator starts at 10
-        # slots and resizes, so freed keys of every other length pile up in
-        # the interpreter's per-length tuple free lists (0.3 MB on the
-        # benchmark's dense graphs)
-        key = tuple([mat[i][j] for i, j in combinations(clique, 2)])
-        result = solved.get(key)
-        if result is None:
-            result = solved[key] = _clique_stationary(scale, mat, clique)
-        status, value, coords = result
-        candidates.append(CliqueCandidate(CliqueSet(clique), status, value))
-        if value is not None and (best_value is None or value > best_value):
-            best_value, best_clique, best_coords = value, clique, coords
+    best_value, best_clique, best_coords = None, (), []
+
+    def walk(cand: int, clique: tuple[int, ...], key: tuple[int, ...]) -> None:
+        # the cliques that extend ``clique`` by vertices of ``cand``, in
+        # _iter_clique_tuples order; ``key`` holds the clique's weights by column
+        nonlocal best_value, best_clique, best_coords
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            row = mat[v]
+            grown = clique + (v,)
+            # from a list: tuple() of a generator over-allocates, and the
+            # interpreter's tuple free lists keep the freed sizes
+            grown_key = key + tuple([row[u] for u in clique])
+            result = solved.get(grown_key)
+            if result is None:
+                result = solved[grown_key] = _clique_stationary(scale, mat, grown)
+                value = result[1]
+                # a memo hit repeats a value already compared: it cannot beat the best
+                if value is not None and (best_value is None or value > best_value):
+                    best_value, best_clique, best_coords = value, grown, result[2]
+            # the vertices ascend by construction, so CliqueSet's check is skipped
+            candidates.append(CliqueCandidate(tuple.__new__(CliqueSet, grown), *result[:2]))
+            walk(cand & adj[v], grown, grown_key)
+
+    walk((1 << g.n) - 1, (), ())
     maximum = best_value if best_value is not None else Fraction(0)
     if scheme.mode == "clique":
         uniform = Fraction(sum(a for _, _, a in edges), scale * g.n * g.n)

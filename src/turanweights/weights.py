@@ -91,10 +91,11 @@ def weight_report(g: Graph) -> WeightReport:
     """
     rs = tuple(edge_clique_numbers(g.adj))
     scale, table = scaled_weights(rs)
-    total = Fraction(sum(table[r] for r in rs), scale)
-    bound = Fraction(g.n * g.n, 4)
-    report = WeightReport(g, rs, total, bound, bound - total)
-    if report.slack < 0:
+    num, square = sum(map(table.__getitem__, rs)), g.n * g.n
+    gap = square * scale - 4 * num  # the slack n^2/4 - num/scale, times 4 * scale
+    total, bound = Fraction(num, scale), Fraction(square, 4)
+    report = WeightReport(g, rs, total, bound, Fraction(gap, 4 * scale))
+    if gap < 0:
         raise TheoremViolation(
             f"total weight {total} exceeds bound {bound} on graph {write_graph6(g)}", report)
     return report

@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from typing import Iterator
 
 import pytest
 
+import turanweights.lagrangian as lagrangian_mod
 import turanweights.sweep as sweep_mod
 from turanweights import Graph, SplitMix64, graph_from_mask, mask_pairs
-from turanweights.cliques import edge_clique_numbers
-from turanweights.lagrangian import WeightScheme, _clique_stationary, _edge_weights, _weight_matrix
+from turanweights.cliques import CliqueSet, _iter_clique_tuples, edge_clique_numbers
+from turanweights.lagrangian import (
+    CliqueCandidate,
+    LagrangianOutcome,
+    SimplexPoint,
+    WeightScheme,
+    _clique_stationary,
+    _edge_weights,
+    _weight_matrix,
+)
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
@@ -145,6 +154,64 @@ def brute_grid_maximum(g: Graph, scheme: WeightScheme, resolution: int) -> Fract
     best = max(sum(a * t[u] * t[v] for u, v, a in edges)
                for t in compositions(g.n, resolution))
     return Fraction(best, scale * resolution * resolution)
+
+
+def reference_plain(value):
+    """JSON form of a library value, field for field, as the command line
+    once built it for ``json.dumps(..., sort_keys=True, indent=2)``.
+
+    Rationals become p/q strings, simplex points their coordinate lists,
+    clique sets their vertex lists, records (tuples with ``_fields``) dicts
+    keyed by field name, and other tuples lists.  Dicts and lists are
+    rebuilt from their items' forms, so an envelope that holds library
+    values converts whole.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (CliqueSet, SimplexPoint)):
+        return [reference_plain(v) for v in value]
+    if isinstance(value, tuple):
+        if hasattr(value, "_fields"):
+            return {name: reference_plain(v) for name, v in zip(value._fields, value)}
+        return [reference_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: reference_plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [reference_plain(v) for v in value]
+    return value
+
+
+def reference_lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
+    """lagrangian_maximum as one loop over the enumerated cliques: each
+    clique's key is its upper-triangle weights in row order, built whole, and
+    every candidate's value is compared with the best, memo hit or not.
+    Skips the chain check."""
+    if g.n == 0:
+        return LagrangianOutcome(Fraction(0), CliqueSet(()), SimplexPoint(()), ())
+    cap = lagrangian_mod.DEFAULT_CANDIDATE_CAP
+    cliques = list(islice(_iter_clique_tuples(g.adj, (1 << g.n) - 1, ()), cap + 1))
+    if len(cliques) > cap:
+        raise ValueError(f"candidate cliques exceed the cap of {cap}")
+    scale, edges = lagrangian_mod._edge_weights(g, scheme)
+    mat = _weight_matrix(g.n, edges)
+    candidates = []
+    best_value, best_clique, best_coords = None, (), []
+    solved = {}
+    for clique in cliques:
+        key = tuple([mat[i][j] for i, j in combinations(clique, 2)])
+        result = solved.get(key)
+        if result is None:
+            result = solved[key] = _clique_stationary(scale, mat, clique)
+        status, value, coords = result
+        candidates.append(CliqueCandidate(CliqueSet(clique), status, value))
+        if value is not None and (best_value is None or value > best_value):
+            best_value, best_clique, best_coords = value, clique, coords
+    witness = [Fraction(0)] * g.n
+    for vert, xv in zip(best_clique, best_coords):
+        witness[vert] = xv
+    return LagrangianOutcome(best_value if best_value is not None else Fraction(0),
+                             CliqueSet(best_clique), SimplexPoint(tuple(witness)),
+                             tuple(candidates))
 
 
 def random_rational_point(n: int, seed: int) -> tuple[Fraction, ...]:

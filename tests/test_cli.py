@@ -7,10 +7,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import turanweights
 from turanweights import (
+    CliqueCandidate,
+    CliqueSet,
+    EdgeWeightRecord,
+    LagrangianOutcome,
+    ReductionStep,
+    SimplexPoint,
+    SweepStats,
     TheoremViolation,
+    WeightScheme,
     complete_graph,
     from_edge_list,
     graph_from_mask,
@@ -19,7 +29,9 @@ from turanweights import (
     weight_report,
     write_graph6,
 )
-from turanweights.cli import main
+from turanweights.cli import _json, main
+
+from conftest import reference_plain
 
 
 def run_cli(argv, stdin_text=""):
@@ -493,7 +505,7 @@ class TestImport:
         # which may load typing themselves, out of the child
         src = str(Path(turanweights.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import turanweights.cli; "
-                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+                "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)))")
         result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                                 text=True, check=True)
         assert result.stdout == "[]\n"
@@ -513,6 +525,78 @@ class TestImport:
                                 capture_output=True, text=True, timeout=60)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "graph 1: grid maximum 2/9 (resolution 3)\n"
+
+
+# strings that json escapes: backslash and quote (graph6 lines may hold a
+# backslash), control characters, DEL, and characters outside ASCII
+SPECIAL_TEXT = st.text(alphabet=st.sampled_from('\\"\x00\x08\t\n\x1f\x7f~ \u00e9\u2028\U0001f600aZ'))
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.fractions(), st.text(),
+                   SPECIAL_TEXT)
+SIMPLEX_POINTS = st.lists(st.integers(0, 9), max_size=5).filter(lambda xs: not xs or sum(xs)).map(
+    lambda xs: SimplexPoint([Fraction(x, sum(xs)) for x in xs]))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.dictionaries(st.one_of(st.text(), SPECIAL_TEXT), children, max_size=4),
+        st.builds(EdgeWeightRecord, children, children, children, children),
+        st.builds(CliqueCandidate, children, children, children),
+        st.builds(LagrangianOutcome, children, children, children, children),
+        st.builds(ReductionStep, *[children] * 7),
+        st.builds(SweepStats, *[children] * 7),
+    )
+
+
+LIBRARY_VALUES = st.recursive(
+    st.one_of(LEAVES, SIMPLEX_POINTS,
+              st.sets(st.integers(0, 40), max_size=6).map(lambda vs: CliqueSet(sorted(vs))),
+              st.fractions().filter(lambda c: c > 0).map(WeightScheme.constant)),
+    _containers, max_leaves=30)
+
+
+class TestJsonWriter:
+    @given(LIBRARY_VALUES)
+    @example(Fraction(0))
+    @example(Fraction(-7, 3))
+    @example(CliqueSet(()))
+    @example(SimplexPoint(()))
+    @example(((), [], {}, None, True, False))
+    @example({"b": CliqueCandidate(CliqueSet((0,)), "interior-solution", Fraction(0)),
+              "a": [CliqueCandidate(CliqueSet((0, 1)), "singular-skipped", None)]})
+    @example("a\\b\"c\x01\u00e9")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_of_the_plain_form(self, value):
+        assert _json(value) == json.dumps(reference_plain(value), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, b"C~", object(), (Fraction(1), 0.5),
+                                       {"k": [frozenset()]}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestOneWrite:
+    @pytest.mark.parametrize("fmt", ["human", "tsv", "json"])
+    def test_verify_writes_stdout_once(self, monkeypatch, fmt):
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("A_\nDzC\n" + c5_graph6() + "\n"))
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["verify", "--format", fmt]) == 0
+        assert out.writes == 1
+        if fmt != "json":
+            assert out.getvalue().count("\n") == 3
 
 
 class TestErrorsAndHelp:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turanweights import (
+    CliqueSet,
     SimplexPoint,
     SplitMix64,
     WeightScheme,
@@ -42,6 +43,7 @@ from conftest import (
     brute_grid_maximum,
     naive_solve,
     random_rational_point,
+    reference_lagrangian_maximum,
 )
 
 CLIQUE = WeightScheme.clique_weighted()
@@ -601,6 +603,59 @@ class TestDistinctSystemsSolvedOnce:
                     if key not in slow:
                         slow[key] = ref_stationary(wdict, clique)[:2]
                     assert (cand.status, cand.value) == slow[key], (g, clique)
+
+
+def walk_graphs():
+    """Seeded G(n,p), complete and Turan graphs, and graphs with isolated vertices."""
+    rng = SplitMix64(67)
+    gnp = [random_gnp(n, Fraction(1 + rng.below(9), 10), rng.next64())
+           for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12) for _ in range(3)]
+    isolated = [from_edge_list(g.n + 3, g.edges()) for g in gnp[::4]]
+    return [*gnp, *isolated, *(complete_graph(n) for n in range(1, 10)),
+            *(turan_graph(n, r) for n, r in ((4, 2), (6, 3), (9, 3), (10, 4), (12, 5)))]
+
+
+WALK_SCHEMES = [CLIQUE, CONST1, WeightScheme.constant(Fraction(7, 5)),
+                WeightScheme.constant(Fraction(2**60, 3))]
+
+
+class TestCliqueWalk:
+    """The depth-first walk against the loop over enumerated cliques it replaced."""
+
+    @pytest.mark.parametrize("scheme", WALK_SCHEMES, ids=lambda s: f"{s.mode}:{s.c}")
+    def test_matches_reference_loop(self, scheme):
+        for g in walk_graphs():
+            out = lagrangian_maximum(g, scheme)
+            ref = reference_lagrangian_maximum(g, scheme)
+            assert (out.maximum, out.support, out.witness) == \
+                (ref.maximum, ref.support, ref.witness), g
+            assert out.candidates == ref.candidates, g
+            assert all(type(c.clique) is CliqueSet for c in out.candidates)
+
+    def test_arbitrary_weights_match_reference_loop(self, monkeypatch):
+        # three weight values placed freely, so equal keys are rare and
+        # row-order and column-order keys differ within every clique size
+        rng = SplitMix64(5)
+        for _ in range(40):
+            g = random_gnp(4 + rng.below(7), Fraction(7, 10), rng.next64())
+            edges = tuple((u, v, 1 + rng.below(3)) for u, v in g.edges())
+            monkeypatch.setattr(lagrangian_mod, "_edge_weights", lambda g, scheme: (1, edges))
+            assert lagrangian_maximum(g, CONST1) == reference_lagrangian_maximum(g, CONST1)
+
+    def test_over_cap_refused_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a clique system")
+
+        monkeypatch.setattr(lagrangian_mod, "_clique_stationary", no_solve)
+        monkeypatch.setattr(lagrangian_mod, "DEFAULT_CANDIDATE_CAP", 30)
+        with pytest.raises(ValueError, match="cliques exceed the cap of 30"):
+            lagrangian_maximum(complete_graph(5), CLIQUE)  # 31 cliques
+        monkeypatch.setattr(lagrangian_mod, "DEFAULT_CANDIDATE_CAP", 25)
+        with pytest.raises(ValueError, match="cliques exceed the cap of 25"):
+            lagrangian_maximum(turan_graph(6, 3), CLIQUE)  # 6 + 12 + 8 = 26 cliques
+        monkeypatch.setattr(lagrangian_mod, "DEFAULT_CANDIDATE_CAP", 31)
+        with pytest.raises(AssertionError, match="solved a clique system"):
+            lagrangian_maximum(complete_graph(5), CLIQUE)
 
 
 class TestMotzkinStrausValue:

@@ -23,9 +23,9 @@ from turanweights import (
     write_graph6,
 )
 import turanweights.sweep as sweep_mod
-from turanweights.cli import _plain, main
+from turanweights.cli import main
 
-from conftest import all_graphs, reference_sweep_shard
+from conftest import all_graphs, reference_plain, reference_sweep_shard
 
 
 class TestSweepAllGraphs:
@@ -286,7 +286,7 @@ class TestClassSweepMatchesLabeledShard:
         assert sweep_all_graphs(n, tight_cap=tight_cap) == expected
         argv = ["sweep", "--n", str(n), "--tight-cap", str(tight_cap), "--jobs", str(jobs)]
         assert main([*argv, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["stats"] == _plain(expected)
+        assert json.loads(capsys.readouterr().out)["stats"] == reference_plain(expected)
 
     @pytest.mark.parametrize("tight_cap", [0, 1, 3, 10, 1000])
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
