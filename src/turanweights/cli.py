@@ -50,10 +50,14 @@ VIOLATION_ERROR = 2
 
 
 def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"invalid rational {text!r}; expected p or p/q") from None
+    """p, p/q or a decimal.  An exponent is refused: Fraction would compute
+    10**exp before anything could check its size."""
+    if "e" not in text and "E" not in text:
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"invalid rational {text!r}; expected p or p/q")
 
 
 def _parse_mode(text: str) -> WeightScheme:
@@ -512,9 +516,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         _emit_error(fmt, "usage", exc)
         return USAGE_ERROR
-    except MemoryError:
-        # an input whose size header asks for more memory than the host has
+    except (MemoryError, OverflowError):
+        # an input whose size header, or a count argument, asks for more
+        # memory than the host has or than a Python sequence can index
         _emit_error(fmt, "usage", "input too large to hold in memory")
+        return USAGE_ERROR
+    except RecursionError:
+        # the clique searches and the clique walk recurse once per clique vertex
+        _emit_error(fmt, "usage", "graph's cliques are too deep to search")
         return USAGE_ERROR
 
 

@@ -115,21 +115,22 @@ def edge_clique_number(g: Graph, u: int, v: int) -> int:
     return 2 + _clique_number(g.adj, g.adj[u] & g.adj[v])
 
 
-def _iter_clique_tuples(adj: Sequence[int], cand: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _cliques(adj: Sequence[int], cand: int, prefix: tuple[int, ...]) -> Iterator[CliqueSet]:
     while cand:
         v = (cand & -cand).bit_length() - 1
         cand &= cand - 1
-        cur = prefix + (v,)
+        # the vertices ascend by construction, so CliqueSet's check is skipped
+        cur = tuple.__new__(CliqueSet, prefix + (v,))
         yield cur
-        yield from _iter_clique_tuples(adj, cand & adj[v], cur)
+        yield from _cliques(adj, cand & adj[v], cur)
 
 
 def enumerate_cliques(g: Graph) -> Iterator[CliqueSet]:
     """Every nonempty clique exactly once, lexicographic by sorted vertex list.
 
     Cliques are grown by recursive extension over candidates above the last
-    vertex, so each clique is formed (and emitted) exactly once.
+    vertex, so each clique is formed (and emitted) exactly once.  The parent
+    of a clique of size k, the clique without its last vertex, is the latest
+    clique of size k - 1 before it.
     """
-    for tup in _iter_clique_tuples(g.adj, (1 << g.n) - 1, ()):
-        yield CliqueSet(tup)
-
+    return _cliques(g.adj, (1 << g.n) - 1, ())

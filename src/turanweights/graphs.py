@@ -12,6 +12,15 @@ GRAPH6_MAX_N = 68719476735  # largest vertex count the size header can carry (2^
 EDGE_LIST_MAX_N = 5_000_000
 
 
+def _as_exact(value) -> Fraction:
+    """``value`` as a Fraction; a float is refused, never rounded to its binary value."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError("floating-point values are not allowed in exact computations")
+    return Fraction(value)
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input."""
 
@@ -160,7 +169,7 @@ def random_gnp(n: int, p: Fraction | int, seed: int) -> Graph:
     Pairs are visited in lexicographic order (0,1),(0,2),...,(n-2,n-1); each
     consumes one Bernoulli draw from a SplitMix64 stream seeded with ``seed``.
     """
-    p = Fraction(p)
+    p = _as_exact(p)
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
     rng = SplitMix64(seed)

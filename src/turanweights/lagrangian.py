@@ -21,8 +21,8 @@ from math import comb, lcm
 from operator import add, mul
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
-from .cliques import CliqueSet, _iter_clique_tuples, edge_clique_numbers, max_clique_size
-from .graphs import Graph, write_graph6
+from .cliques import CliqueSet, edge_clique_numbers, enumerate_cliques, max_clique_size
+from .graphs import Graph, _as_exact, write_graph6
 from .linsolve import solve_linear_system
 from .weights import InvariantViolation, scaled_weights
 
@@ -32,14 +32,6 @@ STATUS_SINGULAR = "singular-skipped"
 
 DEFAULT_CANDIDATE_CAP = 250_000
 GRID_POINT_CAP = 5_000_000
-
-
-def _as_exact(value) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise TypeError("floating-point values are not allowed in exact computations")
-    return Fraction(value)
 
 
 class WeightScheme(namedtuple("WeightScheme", "mode c")):
@@ -329,8 +321,10 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     A clique's system reads only its weights, and they take few distinct
     values, so each distinct system is solved once per call and its result
     reused for every later clique with the same weights (K_17's 131,071
-    cliques need 17 solves).  The depth-first walk keys a clique by its
-    parent's key plus the new vertex's weights to the parent's vertices.
+    cliques need 17 solves).  One pass over enumerate_cliques keys a clique
+    by its parent's key plus the new vertex's weights to the parent's
+    vertices; the parent of a clique of size k is the latest clique of size
+    k - 1, so one key per size is kept.
 
     Under clique weights the maximum M must satisfy U <= M <= 1/4, where
     U = total weight / n^2 is f at the uniform point, or InvariantViolation
@@ -339,39 +333,30 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     if g.n == 0:
         return LagrangianOutcome(Fraction(0), CliqueSet(()), SimplexPoint(()), ())
     cap = DEFAULT_CANDIDATE_CAP
-    adj = g.adj
-    if sum(1 for _ in islice(_iter_clique_tuples(adj, (1 << g.n) - 1, ()), cap + 1)) > cap:
+    cliques = list(islice(enumerate_cliques(g), cap + 1))
+    if len(cliques) > cap:
         raise ValueError(f"candidate cliques exceed the cap of {cap}")
     scale, edges = _edge_weights(g, scheme)
     mat = _weight_matrix(g.n, edges)
     candidates: list[CliqueCandidate] = []
     solved: dict[tuple[int, ...], tuple] = {}
-    best_value, best_clique, best_coords = None, (), []
-
-    def walk(cand: int, clique: tuple[int, ...], key: tuple[int, ...]) -> None:
-        # the cliques that extend ``clique`` by vertices of ``cand``, in
-        # _iter_clique_tuples order; ``key`` holds the clique's weights by column
-        nonlocal best_value, best_clique, best_coords
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            row = mat[v]
-            grown = clique + (v,)
-            # from a list: tuple() of a generator over-allocates, and the
-            # interpreter's tuple free lists keep the freed sizes
-            grown_key = key + tuple([row[u] for u in clique])
-            result = solved.get(grown_key)
-            if result is None:
-                result = solved[grown_key] = _clique_stationary(scale, mat, grown)
-                value = result[1]
-                # a memo hit repeats a value already compared: it cannot beat the best
-                if value is not None and (best_value is None or value > best_value):
-                    best_value, best_clique, best_coords = value, grown, result[2]
-            # the vertices ascend by construction, so CliqueSet's check is skipped
-            candidates.append(CliqueCandidate(tuple.__new__(CliqueSet, grown), *result[:2]))
-            walk(cand & adj[v], grown, grown_key)
-
-    walk((1 << g.n) - 1, (), ())
+    # keys[k]: the weights, by column, of the latest clique of size k
+    keys: list[tuple[int, ...]] = [()] * (g.n + 1)
+    best_value, best_clique, best_coords = None, CliqueSet(()), []
+    for clique in cliques:
+        k = len(clique)
+        row = mat[clique[-1]]
+        # from a list: tuple() of a generator over-allocates, and the
+        # interpreter's tuple free lists keep the freed sizes
+        key = keys[k] = keys[k - 1] + tuple([row[u] for u in clique[:-1]])
+        result = solved.get(key)
+        if result is None:
+            status, value, coords = _clique_stationary(scale, mat, clique)
+            result = solved[key] = status, value
+            # a memo hit repeats a value already compared: it cannot beat the best
+            if value is not None and (best_value is None or value > best_value):
+                best_value, best_clique, best_coords = value, clique, coords
+        candidates.append(CliqueCandidate(clique, *result))
     maximum = best_value if best_value is not None else Fraction(0)
     if scheme.mode == "clique":
         uniform = Fraction(sum(a for _, _, a in edges), scale * g.n * g.n)
@@ -384,7 +369,7 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
         witness[vert] = xv
     return LagrangianOutcome(
         maximum,
-        CliqueSet(best_clique),
+        best_clique,
         SimplexPoint(tuple(witness)),
         tuple(candidates),
     )

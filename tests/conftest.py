@@ -12,7 +12,7 @@ import pytest
 import turanweights.lagrangian as lagrangian_mod
 import turanweights.sweep as sweep_mod
 from turanweights import Graph, SplitMix64, graph_from_mask, mask_pairs
-from turanweights.cliques import CliqueSet, _iter_clique_tuples, edge_clique_numbers
+from turanweights.cliques import CliqueSet, edge_clique_numbers, enumerate_cliques
 from turanweights.lagrangian import (
     CliqueCandidate,
     LagrangianOutcome,
@@ -189,7 +189,7 @@ def reference_lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOu
     if g.n == 0:
         return LagrangianOutcome(Fraction(0), CliqueSet(()), SimplexPoint(()), ())
     cap = lagrangian_mod.DEFAULT_CANDIDATE_CAP
-    cliques = list(islice(_iter_clique_tuples(g.adj, (1 << g.n) - 1, ()), cap + 1))
+    cliques = list(islice(enumerate_cliques(g), cap + 1))
     if len(cliques) > cap:
         raise ValueError(f"candidate cliques exceed the cap of {cap}")
     scale, edges = lagrangian_mod._edge_weights(g, scheme)

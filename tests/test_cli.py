@@ -492,6 +492,85 @@ class TestInputHandling:
                                              "message": "input too large to hold in memory"}}
 
 
+BIG = "100000000000000000000"  # 10^20: no sequence of that length can be indexed
+TOO_LARGE = "turanweights: usage: input too large to hold in memory\n"
+TOO_DEEP = "turanweights: usage: graph's cliques are too deep to search\n"
+
+
+def run_cli_child(argv, stdin_text=""):
+    """(exit code, stdout, stderr) of ``turanweights argv`` in a child process,
+    which a hang fails by its timeout instead of stalling the suite."""
+    result = subprocess.run([sys.executable, "-m", "turanweights", *argv], input=stdin_text,
+                            capture_output=True, text=True, timeout=20)
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestExponentRefused:
+    """Fraction reads 1eN as 10**N and computes it before anything can check N."""
+
+    @pytest.mark.parametrize("argv, stdin_text, rational", [
+        (["gen", "gnp", "3", "1e-99999999"], "", "1e-99999999"),
+        (["gen", "gnp", "3", "1e-3000000"], "", "1e-3000000"),
+        (["lagrangian", "--mode", "constant:1e99999999"], "A_\n", "1e99999999"),
+        (["oracle", "--grid", "2", "--mode", "constant:1E99999999"], "A_\n", "1E99999999"),
+        (["fuzz", "--n", "3", "--p", "1e-99999999", "--count", "1", "--seed", "1"], "",
+         "1e-99999999"),
+        (["reduce", "--start", "1e-99999999,1"], "A_\n", "1e-99999999"),
+    ], ids=["gen-gnp", "gen-gnp-3000000", "lagrangian-mode", "oracle-mode", "fuzz-p",
+            "reduce-start"])
+    def test_exits_1_at_once(self, argv, stdin_text, rational):
+        assert run_cli_child(argv, stdin_text) == (
+            1, "", f"turanweights: usage: invalid rational {rational!r}; expected p or p/q\n")
+
+    def test_json_error(self):
+        code, out, err = run_cli(["fuzz", "--n", "3", "--p", "1E2", "--count", "1",
+                                  "--seed", "1", "--format", "json"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "kind": "usage", "message": "invalid rational '1E2'; expected p or p/q"}}
+
+    def test_p_q_and_decimals_still_parse(self):
+        code, out, _ = run_cli(["fuzz", "--n", "4", "--p", "0.5", "--count", "1",
+                                "--seed", "1", "--format", "json"])
+        assert code == 0 and json.loads(out)["params"]["p"] == "1/2"
+        assert run_cli(["gen", "gnp", "6", "0.25", "--seed", "3"]) == \
+            run_cli(["gen", "gnp", "6", "1/4", "--seed", "3"])
+        code, out, _ = run_cli(["reduce", "--start", "0.75,1/4"], stdin_text="A_\n")
+        assert code == 0 and "final 3/4,1/4" in out
+
+
+class TestOversizedArguments:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "empty", BIG],
+        ["gen", "complete", BIG],
+        ["gen", "turan", "5", BIG],
+        ["gen", "turan", BIG, "2"],
+        ["campaign", "--n", "5", "--r", BIG, "--count", "1", "--seed", "1"],
+    ], ids=["empty", "complete", "turan-r", "turan-n", "campaign-r"])
+    def test_overflow_is_too_large(self, argv):
+        assert run_cli(argv) == (1, "", TOO_LARGE)
+
+    def test_overflow_json(self):
+        code, out, err = run_cli(["fuzz", "--n", BIG, "--p", "1/2", "--count", "1",
+                                  "--seed", "1", "--format", "json"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"kind": "usage",
+                                             "message": "input too large to hold in memory"}}
+
+    def test_deep_cliques_json(self):
+        # K_1000: the search for an edge's clique number recurses past the limit
+        code, out, err = run_cli(["verify", "--format", "json"],
+                                 stdin_text=write_graph6(complete_graph(1000)) + "\n")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"kind": "usage",
+                                             "message": "graph's cliques are too deep to search"}}
+
+    @pytest.mark.parametrize("argv", [["lagrangian"], ["reduce"], ["oracle", "--grid", "2"]],
+                             ids=["lagrangian", "reduce", "oracle"])
+    def test_deep_cliques(self, argv):
+        assert run_cli(argv, write_graph6(complete_graph(1100)) + "\n") == (1, "", TOO_DEEP)
+
+
 class TestImport:
     def test_cli_import_leaves_numpy_unloaded(self):
         # numpy is most of the import time and only the grid oracle needs it

@@ -168,9 +168,11 @@ class TestEnumerateCliques:
             assert seqs == sorted(seqs)
 
     def test_matches_brute_force_and_subset_closed(self):
-        for n in range(6):
+        for n in range(7):
             for g in all_graphs(n):
-                masks = {mask_of(c.vertices) for c in enumerate_cliques(g)}
+                cliques = list(enumerate_cliques(g))
+                assert all(type(c) is CliqueSet for c in cliques)
+                masks = {mask_of(c.vertices) for c in cliques}
                 assert masks == set(brute_clique_masks(g))
                 for m in masks:
                     sub = m & (m - 1)

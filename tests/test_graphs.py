@@ -13,6 +13,7 @@ from turanweights import (
     cycle_graph,
     empty_graph,
     from_edge_list,
+    fuzz_random,
     graph_from_mask,
     max_clique_size,
     parse_edge_list,
@@ -131,6 +132,19 @@ class TestRandomGnp:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             random_gnp(5, Fraction(3, 2), 0)
+
+    def test_float_p_rejected(self):
+        # 0.1 would draw with its binary value, 3602879701896397/2^55
+        with pytest.raises(TypeError, match="floating-point"):
+            random_gnp(6, 0.1, 1)
+
+    def test_fuzz_rejects_float_p_alike(self):
+        with pytest.raises(TypeError, match="floating-point"):
+            fuzz_random(6, 0.1, 1, 1)
+
+    def test_int_fraction_and_string_p(self):
+        assert random_gnp(9, "1/3", 4) == random_gnp(9, Fraction(1, 3), 4)
+        assert random_gnp(9, 1, 4) == complete_graph(9)
 
     def test_splitmix_reference_values(self):
         # first outputs of the splitmix64 stream for seed 0, from the

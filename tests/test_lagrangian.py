@@ -27,7 +27,7 @@ from turanweights import (
     weight_report,
 )
 import turanweights.lagrangian as lagrangian_mod
-from turanweights.cliques import _iter_clique_tuples
+from turanweights.cliques import enumerate_cliques
 from turanweights.lagrangian import (
     STATUS_INTERIOR,
     STATUS_NO_POSITIVE,
@@ -450,7 +450,7 @@ class TestIntegerCoreMatchesReference:
                     scale, edges = _edge_weights(g, scheme)
                     mat = _weight_matrix(n, edges)
                     wdict = ref_weights(g, scheme)
-                    for clique in _iter_clique_tuples(g.adj, (1 << n) - 1, ()):
+                    for clique in enumerate_cliques(g):
                         fast_key = (scale, tuple(mat[i][j] for i in clique for j in clique))
                         if fast_key not in fast:
                             fast[fast_key] = _clique_stationary(scale, mat, clique)
@@ -511,7 +511,7 @@ def ref_maximum(g, wdict):
     """(maximum, support, witness, ledger) from one ref_stationary per clique, first max wins."""
     ledger = []
     best_value, best_clique, best_coords = None, (), []
-    for clique in _iter_clique_tuples(g.adj, (1 << g.n) - 1, ()):
+    for clique in enumerate_cliques(g):
         status, value, coords = ref_stationary(wdict, clique)
         ledger.append((clique, status, value))
         if value is not None and (best_value is None or value > best_value):
@@ -620,7 +620,7 @@ WALK_SCHEMES = [CLIQUE, CONST1, WeightScheme.constant(Fraction(7, 5)),
 
 
 class TestCliqueWalk:
-    """The depth-first walk against the loop over enumerated cliques it replaced."""
+    """The one-pass loop with a key per clique size against the reference loop."""
 
     @pytest.mark.parametrize("scheme", WALK_SCHEMES, ids=lambda s: f"{s.mode}:{s.c}")
     def test_matches_reference_loop(self, scheme):
@@ -641,6 +641,26 @@ class TestCliqueWalk:
             edges = tuple((u, v, 1 + rng.below(3)) for u, v in g.edges())
             monkeypatch.setattr(lagrangian_mod, "_edge_weights", lambda g, scheme: (1, edges))
             assert lagrangian_maximum(g, CONST1) == reference_lagrangian_maximum(g, CONST1)
+
+    @pytest.mark.parametrize("scheme", [CLIQUE, WeightScheme.constant(Fraction(7, 5))],
+                             ids=lambda s: f"{s.mode}:{s.c}")
+    def test_ledger_in_enumeration_order(self, scheme):
+        for g in walk_graphs():
+            ledger = [c.clique for c in lagrangian_maximum(g, scheme).candidates]
+            assert ledger == list(enumerate_cliques(g)), g
+
+    def test_one_enumeration_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return enumerate_cliques(g)
+
+        monkeypatch.setattr(lagrangian_mod, "enumerate_cliques", counting)
+        graphs = walk_graphs()
+        for g in graphs:
+            lagrangian_maximum(g, CLIQUE)
+        assert calls == graphs
 
     def test_over_cap_refused_before_any_solve(self, monkeypatch):
         def no_solve(*args):
