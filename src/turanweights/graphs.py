@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 GRAPH6_MAX_N = 68719476735  # largest vertex count the size header can carry (2^36 - 1)
@@ -203,12 +203,15 @@ def _encode_size(n: int) -> str:
 
 
 def _decode_size(text: str) -> tuple[int, int]:
-    """Return (n, index of first data character)."""
+    """Return (n, index of first data character).
+
+    Every character of ``text`` is range-checked, not only the header's.
+    """
     if not text:
         raise Graph6Error("empty graph6 string")
-    vals = [ord(c) - 63 for c in text]
-    if any(v < 0 or v > 63 for v in vals):
+    if min(text) < "?" or max(text) > "~":
         raise Graph6Error("character out of graph6 range (63..126)")
+    vals = [ord(c) - 63 for c in text[:8]]
     if vals[0] != 63:
         return vals[0], 1
     if len(vals) < 2:
@@ -226,8 +229,20 @@ def _decode_size(text: str) -> tuple[int, int]:
     return n, 8
 
 
+# data character -> its 6 bits reversed, as two octal digits: read in reverse
+# character order, the digits spell one integer whose bit k is pair k
+_REVERSED_OCTAL = {63 + v: f"{int(f'{v:06b}'[::-1], 2):02o}" for v in range(64)}
+_WINDOW_BYTES = 1 << 13
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (an optional '>>graph6<<' prefix is tolerated)."""
+    """Decode one graph6 line (an optional '>>graph6<<' prefix is tolerated).
+
+    Column v of the upper triangle, the pairs (0,v), ..., (v-1,v), is a run
+    of v consecutive bits of the data, so it is read as one slice: v's lower
+    neighbours.  The rows built from the columns are symmetric and loop-free
+    by construction, so the graph is not re-checked.
+    """
     line = text.strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
@@ -237,23 +252,30 @@ def parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(data) != need:
         raise Graph6Error(f"expected {need} data characters for n={n}, got {len(data)}")
-    adj = [0] * n
-    bits = 0
-    bitbuf = 0
-    pos = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits == 0:
-                bitbuf = ord(data[pos]) - 63
-                bits = 6
-                pos += 1
-            bits -= 1
-            if bitbuf >> bits & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    if bits and bitbuf & ((1 << bits) - 1):
+    stream = int(data[::-1].translate(_REVERSED_OCTAL) or "0", 8)
+    if stream >> nbits:
         raise Graph6Error("nonzero padding bits")
-    return Graph(n, tuple(adj))
+    # columns are cut from a window of at most 8 * _WINDOW_BYTES + n bits,
+    # refilled from the stream's bytes: a shift costs the width it shifts, so
+    # shifting the whole stream once per column would cost n times its width
+    packed = stream.to_bytes((nbits + 7) // 8, "little")
+    adj = [0] * n
+    window = width = pos = 0
+    for v in range(1, n):
+        while width < v:
+            window |= int.from_bytes(packed[pos:pos + _WINDOW_BYTES], "little") << width
+            pos += _WINDOW_BYTES
+            width += 8 * _WINDOW_BYTES
+        low = window & ((1 << v) - 1)
+        window >>= v
+        width -= v
+        adj[v] = low
+        bit = 1 << v
+        while low:
+            u = low.bit_length() - 1
+            low ^= 1 << u
+            adj[u] |= bit
+    return tuple.__new__(Graph, (n, tuple(adj)))
 
 
 def write_graph6(g: Graph) -> str:
@@ -304,10 +326,3 @@ def write_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count()}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def mask_of(vertices: Sequence[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m

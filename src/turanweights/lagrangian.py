@@ -256,7 +256,9 @@ def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[Sim
         coords[i] = Fraction(xs[i], den)
         coords[j] = Fraction(0)
         pos &= ~(1 << j)
-        point = SimplexPoint(coords)
+        # a shift moves mass and never adds it: the coordinates stay
+        # nonnegative and sum to 1, so the point is built without the check
+        point = tuple.__new__(SimplexPoint, coords)
         steps.append(ReductionStep(i, j, Fraction(s_i, s_den), Fraction(s_j, s_den),
                                    Fraction(form_before, f_den), Fraction(form_after, f_den),
                                    point))

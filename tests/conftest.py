@@ -67,6 +67,14 @@ def reference_sweep_shard(args: tuple[int, int, int, int]) -> tuple[int, int, in
     return hi - lo, tight, max_total, tight_masks, None
 
 
+def mask_of(vertices) -> int:
+    """The bitmask of a vertex collection."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 def is_clique_mask(g: Graph, mask: int) -> bool:
     m = mask
     while m:

@@ -35,13 +35,13 @@ from turanweights import (
     weight_report,
     write_graph6,
 )
-from turanweights.graphs import mask_of
 
 from conftest import (
     all_graphs,
     brute_clique_masks,
     brute_edge_clique_number,
     brute_max_clique,
+    mask_of,
     random_rational_point,
 )
 

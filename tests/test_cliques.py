@@ -18,7 +18,7 @@ from turanweights import (
 )
 import turanweights.cliques as cliques_mod
 from turanweights.cliques import POPCOUNT_MAX, _clique_number, _expand, edge_clique_numbers
-from turanweights.graphs import mask_of, random_gnp
+from turanweights.graphs import random_gnp
 from turanweights.sweep import mask_pairs
 
 from conftest import (
@@ -28,6 +28,7 @@ from conftest import (
     brute_edge_clique_numbers,
     brute_max_clique,
     is_clique_mask,
+    mask_of,
 )
 
 
