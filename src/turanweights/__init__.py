@@ -25,23 +25,18 @@ from .graphs import (
     parse_graph6,
     random_gnp,
     turan_graph,
-    write_edge_list,
     write_graph6,
 )
 from .lagrangian import (
     CliqueCandidate,
     LagrangianOutcome,
     ReductionStep,
-    ReductionTrace,
     SimplexPoint,
     WeightScheme,
     grid_oracle,
     lagrangian_maximum,
-    motzkin_straus_value,
     objective_value,
-    side_sum,
     support_reduce,
-    weight_map,
 )
 from .sweep import (
     SweepStats,
@@ -59,7 +54,6 @@ from .weights import (
     WeightReport,
     edge_weight,
     turan_bound_check,
-    verify_theorem,
     weight_report,
 )
 
@@ -75,7 +69,6 @@ __all__ = [
     "InvariantViolation",
     "LagrangianOutcome",
     "ReductionStep",
-    "ReductionTrace",
     "SimplexPoint",
     "SplitMix64",
     "SweepStats",
@@ -95,20 +88,15 @@ __all__ = [
     "lagrangian_maximum",
     "mask_pairs",
     "max_clique_size",
-    "motzkin_straus_value",
     "objective_value",
     "parse_edge_list",
     "parse_graph6",
     "random_gnp",
-    "side_sum",
     "support_reduce",
     "sweep_all_graphs",
     "turan_bound_check",
     "turan_bound_campaign",
     "turan_graph",
-    "verify_theorem",
-    "weight_map",
     "weight_report",
-    "write_edge_list",
     "write_graph6",
 ]

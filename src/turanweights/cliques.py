@@ -18,10 +18,6 @@ class CliqueSet(tuple):
             raise ValueError("clique vertices must be sorted and distinct")
         return self
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return f"CliqueSet(vertices={tuple(self)!r})"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from binascii import b2a_base64
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -278,22 +279,22 @@ def parse_graph6(text: str) -> Graph:
     return tuple.__new__(Graph, (n, tuple(adj)))
 
 
+# base64 digit -> the graph6 character of the same 6-bit value
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
+
+
 def write_graph6(g: Graph) -> str:
-    out = [_encode_size(g.n)]
-    bitbuf = 0
-    bits = 0
-    for v in range(1, g.n):
-        row = g.adj[v]
-        for u in range(v):
-            bitbuf = (bitbuf << 1) | (row >> u & 1)
-            bits += 1
-            if bits == 6:
-                out.append(chr(bitbuf + 63))
-                bitbuf = 0
-                bits = 0
-    if bits:
-        out.append(chr((bitbuf << (6 - bits)) + 63))
-    return "".join(out)
+    """One graph6 line.  Column v, the pairs (0,v), ..., (v-1,v), is v's lower
+    neighbours from bit 0 up: a reversed binary string.  The joined columns,
+    zero-padded to whole 3-byte groups, pack into bytes whose base64 digits
+    are graph6's 6-bit groups."""
+    adj = g.adj
+    bits = "".join([f"{adj[v] & ((1 << v) - 1):0{v}b}"[::-1] for v in range(1, g.n)])
+    pad = -len(bits) % 24
+    packed = int(bits + "0" * pad or "0", 2).to_bytes((len(bits) + pad) // 8, "big")
+    data = b2a_base64(packed, newline=False)[:(len(bits) + 5) // 6]
+    return _encode_size(g.n) + data.translate(_BASE64_TO_GRAPH6).decode()
 
 
 # --- edge list text ----------------------------------------------------------
@@ -320,9 +321,3 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"expected {m} edges ({2 * m} endpoints), got {(len(nums) - 2)} tokens")
     pairs = [(nums[2 + 2 * i], nums[3 + 2 * i]) for i in range(m)]
     return from_edge_list(n, pairs)
-
-
-def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

@@ -17,11 +17,11 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb, lcm
+from math import lcm
 from operator import add, mul
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
-from .cliques import CliqueSet, edge_clique_numbers, enumerate_cliques, max_clique_size
+from .cliques import CliqueSet, edge_clique_numbers, enumerate_cliques
 from .graphs import Graph, _as_exact, write_graph6
 from .linsolve import solve_linear_system
 from .weights import InvariantViolation, scaled_weights
@@ -74,10 +74,6 @@ class SimplexPoint(tuple):
             raise ValueError(f"simplex coordinates must sum to 1, got {sum(self)}")
         return self
 
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return f"SimplexPoint(coords={tuple(self)!r})"
 
@@ -86,9 +82,6 @@ class SimplexPoint(tuple):
         if n < 1:
             raise ValueError("uniform point needs at least one coordinate")
         return SimplexPoint((Fraction(1, n),) * n)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self) if c > 0)
 
     def support_mask(self) -> int:
         m = 0
@@ -110,12 +103,6 @@ def _edge_weights(g: Graph, scheme: WeightScheme) -> tuple[int, tuple[tuple[int,
     rs = edge_clique_numbers(g.adj)
     scale, table = scaled_weights(rs)
     return scale, tuple((u, v, table[r]) for (u, v), r in zip(g.edges(), rs))
-
-
-def weight_map(g: Graph, scheme: WeightScheme) -> dict[tuple[int, int], Fraction]:
-    """Edge weights keyed by (u, v) with u < v."""
-    scale, edges = _edge_weights(g, scheme)
-    return {(u, v): Fraction(a, scale) for u, v, a in edges}
 
 
 def _weight_matrix(n: int, edges) -> list[list[int]]:
@@ -169,15 +156,6 @@ def objective_value(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> Fraction
     return Fraction(_form(edges, xs), scale * den * den)
 
 
-def side_sum(g: Graph, scheme: WeightScheme, x: SimplexPoint, i: int) -> Fraction:
-    """Weighted neighbor sum at vertex i: the gradient component of f along x_i."""
-    if not 0 <= i < g.n:
-        raise IndexError(f"vertex {i} out of range for n={g.n}")
-    den, xs = _scaled_point(g, x)
-    scale, edges = _edge_weights(g, scheme)
-    return Fraction(_side(_weight_matrix(g.n, edges), xs, i), scale * den)
-
-
 class ReductionStep(namedtuple("ReductionStep", "i j s_i s_j f_before f_after point_after")):
     """One mass shift: coordinate j is zeroed, its mass moves onto i.
 
@@ -186,22 +164,6 @@ class ReductionStep(namedtuple("ReductionStep", "i j s_i s_j f_before f_after po
     """
 
     __slots__ = ()
-
-
-class ReductionTrace(tuple):
-    """The steps of one support reduction, in order."""
-
-    __slots__ = ()
-
-    def __new__(cls, steps: Iterable[ReductionStep] = ()) -> ReductionTrace:
-        return super().__new__(cls, steps)
-
-    @property
-    def steps(self) -> tuple[ReductionStep, ...]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"ReductionTrace(steps={tuple(self)!r})"
 
 
 def _first_nonadjacent_positive_pair(adj: Sequence[int], pos: int) -> tuple[int, int] | None:
@@ -215,8 +177,10 @@ def _first_nonadjacent_positive_pair(adj: Sequence[int], pos: int) -> tuple[int,
     return None
 
 
-def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[SimplexPoint, ReductionTrace]:
-    """Shift mass between non-adjacent positive pairs until the support is a clique.
+def support_reduce(g: Graph, scheme: WeightScheme,
+                   x: SimplexPoint) -> tuple[SimplexPoint, tuple[ReductionStep, ...]]:
+    """Shift mass between non-adjacent positive pairs until the support is a
+    clique; returns the final point and the steps, in order.
 
     Pairs are chosen lexicographically; mass moves onto the endpoint with the
     larger weighted neighbor sum (ties toward the smaller index).  Each step
@@ -263,7 +227,7 @@ def support_reduce(g: Graph, scheme: WeightScheme, x: SimplexPoint) -> tuple[Sim
                                    Fraction(form_before, f_den), Fraction(form_after, f_den),
                                    point))
         form_before = form_after
-    return point, ReductionTrace(steps)
+    return point, tuple(steps)
 
 
 class CliqueCandidate(namedtuple("CliqueCandidate", "clique status value")):
@@ -377,14 +341,6 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     )
 
 
-def motzkin_straus_value(g: Graph) -> Fraction:
-    """Closed-form simplex maximum (1 - 1/omega)/2 of the unweighted form."""
-    omega = max_clique_size(g)
-    if omega <= 1:
-        return Fraction(0)
-    return Fraction(omega - 1, 2 * omega)
-
-
 def _best_last_pair(s_y: int, s_z: int, a: int, rem: int) -> int:
     """Max over c in 0..rem of h(c) = c*s_y + (rem-c)*s_z + a*c*(rem-c), for a >= 0.
 
@@ -413,17 +369,23 @@ def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int) -> Fraction:
     form and every vertex's weighted neighbor sum; at each node the remaining
     mass goes to the last two vertices in closed form (_best_last_pair).  The
     walk is at most min(resolution, n-2) deep.  Refuses when the number of
-    grid points exceeds GRID_POINT_CAP.
+    grid points, C(resolution + n-1, n-1), exceeds GRID_POINT_CAP.
     """
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     n = g.n
     if n == 0:
         return Fraction(0)
-    count = comb(resolution + n - 1, n - 1)
     cap = GRID_POINT_CAP
-    if count > cap:
-        raise ValueError(f"{count} grid points exceed the cap of {cap}")
+    # C(a+b, b) as C(a+i, i) for i = 1..b, stopping at the first partial count
+    # over the cap; C(a+i, i) >= C(2i, i) > cap from i = 13, so at most 13 steps
+    a, b = max(resolution, n - 1), min(resolution, n - 1)
+    count = 1
+    for i in range(1, b + 1):
+        count = count * (a + i) // i
+        if count > cap:
+            raise ValueError(f"grid points at resolution {resolution} on {n} vertices "
+                             f"exceed the cap of {cap}")
     if resolution == 1:
         # every point is a vertex, where f is 0; this also keeps the n x n
         # matrix below from being built for the up to GRID_POINT_CAP vertices

@@ -101,11 +101,6 @@ def weight_report(g: Graph) -> WeightReport:
     return report
 
 
-def verify_theorem(g: Graph) -> Fraction:
-    """Exact slack n^2/4 - total weight; raises if it is ever negative."""
-    return weight_report(g).slack
-
-
 def turan_bound_check(g: Graph, r: int) -> bool:
     """Edge-count bound e(G) <= (1 - 1/r) n^2/2 for K_{r+1}-free graphs.
 

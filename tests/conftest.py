@@ -11,8 +11,8 @@ import pytest
 
 import turanweights.lagrangian as lagrangian_mod
 import turanweights.sweep as sweep_mod
-from turanweights import Graph, SplitMix64, graph_from_mask, mask_pairs
-from turanweights.cliques import CliqueSet, edge_clique_numbers, enumerate_cliques
+from turanweights import Graph, SplitMix64, graph_from_mask, mask_pairs, weight_report
+from turanweights.cliques import CliqueSet, edge_clique_numbers, enumerate_cliques, max_clique_size
 from turanweights.lagrangian import (
     CliqueCandidate,
     LagrangianOutcome,
@@ -75,6 +75,26 @@ def mask_of(vertices) -> int:
     return m
 
 
+def write_edge_list(g: Graph) -> str:
+    """The plain edge-list text of g: "n m", then one "u v" line per edge."""
+    lines = [f"{g.n} {g.edge_count()}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def motzkin_straus_value(g: Graph) -> Fraction:
+    """Closed-form simplex maximum (1 - 1/omega)/2 of the unweighted form."""
+    omega = max_clique_size(g)
+    if omega <= 1:
+        return Fraction(0)
+    return Fraction(omega - 1, 2 * omega)
+
+
+def support_of(x) -> tuple[int, ...]:
+    """The indices of the positive coordinates of a simplex point."""
+    return tuple(i for i, c in enumerate(x) if c > 0)
+
+
 def is_clique_mask(g: Graph, mask: int) -> bool:
     m = mask
     while m:
@@ -132,11 +152,29 @@ def naive_solve(rows, rhs):
 
 
 def _solve_clique_stationary(wdict: dict[tuple[int, int], Fraction], clique: tuple[int, ...]):
-    """lagrangian._clique_stationary for weights given as a weight_map-style {(u, v): w}."""
+    """lagrangian._clique_stationary for weights given as {(u, v): w}, u < v."""
     scale = lcm(*[w.denominator for w in wdict.values()])
     n = 1 + max(clique + tuple(v for _, v in wdict))
     mat = _weight_matrix(n, [(u, v, int(w * scale)) for (u, v), w in wdict.items()])
     return _clique_stationary(scale, mat, clique)
+
+
+def ref_weights(g: Graph, scheme: WeightScheme) -> dict[tuple[int, int], Fraction]:
+    """{(u, v): w} in Fractions, from weight_report or the scheme's constant."""
+    if scheme.mode == "constant":
+        return {e: scheme.c for e in g.edges()}
+    return {(rec.u, rec.v): rec.w for rec in weight_report(g).records}
+
+
+def ref_side(wdict: dict[tuple[int, int], Fraction], coords, i: int) -> Fraction:
+    """Weighted neighbor sum at vertex i, summed over the weight dict."""
+    total = Fraction(0)
+    for (u, v), w in wdict.items():
+        if u == i:
+            total += w * coords[v]
+        elif v == i:
+            total += w * coords[u]
+    return total
 
 
 def compositions(n: int, total: int) -> Iterator[tuple[int, ...]]:

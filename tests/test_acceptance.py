@@ -23,15 +23,12 @@ from turanweights import (
     grid_oracle,
     lagrangian_maximum,
     max_clique_size,
-    motzkin_straus_value,
     objective_value,
     random_gnp,
-    side_sum,
     support_reduce,
     turan_bound_campaign,
     turan_bound_check,
     turan_graph,
-    verify_theorem,
     weight_report,
     write_graph6,
 )
@@ -42,7 +39,11 @@ from conftest import (
     brute_edge_clique_number,
     brute_max_clique,
     mask_of,
+    motzkin_straus_value,
     random_rational_point,
+    ref_side,
+    ref_weights,
+    support_of,
 )
 
 CLIQUE = WeightScheme.clique_weighted()
@@ -92,9 +93,9 @@ def test_criterion_2_tightness_families():
         for n in range(17):
             for r in range(2, n + 1):
                 if n % r == 0:
-                    assert verify_theorem(turan_graph(n, r)) == 0, (n, r)
+                    assert weight_report(turan_graph(n, r)).slack == 0, (n, r)
         for n in range(2, 17):
-            assert verify_theorem(complete_graph(n)) == 0, n
+            assert weight_report(complete_graph(n)).slack == 0, n
 
 
 def test_criterion_3_lagrangian_cap_and_chain():
@@ -140,25 +141,26 @@ def test_criterion_6_support_reduction_properties():
             start = SimplexPoint(random_rational_point(30, master.next64()))
             final, trace = support_reduce(g, CLIQUE, start)
             assert len(trace) <= 29
+            wdict = ref_weights(g, CLIQUE)
             prev = start
-            prev_support = len(start.support())
+            prev_support = len(support_of(start))
             for step in trace:
-                x_j = prev.coords[step.j]
+                x_j = prev[step.j]
                 assert not g.has_edge(step.i, step.j)
-                assert x_j > 0 and prev.coords[step.i] > 0
-                assert step.s_i == side_sum(g, CLIQUE, prev, step.i)
-                assert step.s_j == side_sum(g, CLIQUE, prev, step.j)
+                assert x_j > 0 and prev[step.i] > 0
+                assert step.s_i == ref_side(wdict, prev, step.i)
+                assert step.s_j == ref_side(wdict, prev, step.j)
                 assert step.f_before == objective_value(g, CLIQUE, prev)
                 gain = x_j * (step.s_i - step.s_j)
                 assert step.f_after - step.f_before == gain
                 assert gain >= 0
-                assert len(step.point_after.support()) == prev_support - 1
+                assert len(support_of(step.point_after)) == prev_support - 1
                 prev = step.point_after
                 prev_support -= 1
             assert final == prev
-            if trace.steps:
-                assert trace.steps[-1].f_after == objective_value(g, CLIQUE, final)
-            support = final.support()
+            if trace:
+                assert trace[-1].f_after == objective_value(g, CLIQUE, final)
+            support = support_of(final)
             for a_idx in range(len(support)):
                 for b_idx in range(a_idx + 1, len(support)):
                     assert g.has_edge(support[a_idx], support[b_idx])
@@ -182,7 +184,7 @@ def test_criterion_8_clique_engine_oracle():
             for g in all_graphs(n):
                 expected_masks = set(brute_clique_masks(g))
                 assert max_clique_size(g) == brute_max_clique(g)
-                got_masks = {mask_of(c.vertices) for c in enumerate_cliques(g)}
+                got_masks = {mask_of(c) for c in enumerate_cliques(g)}
                 assert got_masks == expected_masks
                 for u, v in g.edges():
                     assert edge_clique_number(g, u, v) == brute_edge_clique_number(g, u, v)

@@ -565,6 +565,19 @@ class TestOversizedArguments:
         assert json.loads(err) == {"error": {"kind": "usage",
                                              "message": "graph's cliques are too deep to search"}}
 
+    def test_grid_over_cap_refused_at_once(self):
+        # C(4000000, 1000000) has about 560,000 digits: the count stops past the cap
+        assert run_cli_child(["oracle", "--grid", "1000000"], "3000001 0\n") == (
+            1, "", "turanweights: usage: grid points at resolution 1000000 on 3000001 vertices "
+            "exceed the cap of 5000000\n")
+
+    def test_grid_over_cap_json(self):
+        code, out, err = run_cli_child(["oracle", "--grid", "300000", "--format", "json"],
+                                       "1001 0\n")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"kind": "usage", "message": (
+            "grid points at resolution 300000 on 1001 vertices exceed the cap of 5000000")}}
+
     @pytest.mark.parametrize("argv", [["lagrangian"], ["reduce"], ["oracle", "--grid", "2"]],
                              ids=["lagrangian", "reduce", "oracle"])
     def test_deep_cliques(self, argv):

@@ -150,22 +150,22 @@ def test_edge_clique_numbers_match_brute_force(n, data):
 
 class TestEnumerateCliques:
     def test_triangle_order(self):
-        got = [c.vertices for c in enumerate_cliques(complete_graph(3))]
+        got = [tuple(c) for c in enumerate_cliques(complete_graph(3))]
         assert got == [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
 
     def test_path(self):
         from turanweights import from_edge_list
 
-        got = {c.vertices for c in enumerate_cliques(from_edge_list(3, [(0, 1), (1, 2)]))}
+        got = {tuple(c) for c in enumerate_cliques(from_edge_list(3, [(0, 1), (1, 2)]))}
         assert got == {(0,), (1,), (2,), (0, 1), (1, 2)}
 
     def test_edgeless(self):
-        got = [c.vertices for c in enumerate_cliques(empty_graph(3))]
+        got = [tuple(c) for c in enumerate_cliques(empty_graph(3))]
         assert got == [(0,), (1,), (2,)]
 
     def test_emitted_order_is_lexicographic(self):
         for g in [cycle_graph(6), complete_graph(5)]:
-            seqs = [c.vertices for c in enumerate_cliques(g)]
+            seqs = [tuple(c) for c in enumerate_cliques(g)]
             assert seqs == sorted(seqs)
 
     def test_matches_brute_force_and_subset_closed(self):
@@ -173,7 +173,7 @@ class TestEnumerateCliques:
             for g in all_graphs(n):
                 cliques = list(enumerate_cliques(g))
                 assert all(type(c) is CliqueSet for c in cliques)
-                masks = {mask_of(c.vertices) for c in cliques}
+                masks = {mask_of(c) for c in cliques}
                 assert masks == set(brute_clique_masks(g))
                 for m in masks:
                     sub = m & (m - 1)
@@ -202,5 +202,5 @@ def test_emitted_cliques_are_cliques(n, bits):
     count = 0
     for c in enumerate_cliques(g):
         count += 1
-        assert is_clique_mask(g, mask_of(c.vertices))
+        assert is_clique_mask(g, mask_of(c))
     assert count == len(brute_clique_masks(g))

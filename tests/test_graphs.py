@@ -20,10 +20,11 @@ from turanweights import (
     parse_graph6,
     random_gnp,
     turan_graph,
-    write_edge_list,
     write_graph6,
 )
 from turanweights.graphs import GRAPH6_MAX_N, _decode_size, _encode_size, turan_part_sizes
+
+from conftest import write_edge_list
 
 
 class TestConstruction:
@@ -200,6 +201,23 @@ class TestGraph6:
         ]
         for mine, theirs in cases:
             assert write_graph6(mine) == nx.to_graph6_bytes(theirs, header=False).decode().strip()
+
+    def test_writer_matches_networkx_on_the_atlas(self):
+        # every graph on at most 7 vertices, up to isomorphism
+        for theirs in nx.graph_atlas_g():
+            mine = from_edge_list(theirs.number_of_nodes(), theirs.edges())
+            assert write_graph6(mine) + "\n" == nx.to_graph6_bytes(theirs, header=False).decode()
+
+    @pytest.mark.parametrize("n", [8, 13, 31, 61, 62, 63, 64, 100, 150])
+    def test_writer_matches_networkx_on_random(self, n):
+        # a 1-byte size header up to 62 vertices, a 4-byte one from 63
+        for seed in range(4):
+            g = random_gnp(n, Fraction(1 + seed, 5), seed)
+            theirs = nx.empty_graph(n)
+            theirs.add_edges_from(g.edges())
+            s = write_graph6(g)
+            assert s + "\n" == nx.to_graph6_bytes(theirs, header=False).decode()
+            assert len(s) - (n * (n - 1) // 2 + 5) // 6 == (1 if n <= 62 else 4)
 
     def test_parse_matches_networkx_on_random(self):
         for seed in range(5):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,13 +18,10 @@ from turanweights import (
     graph_from_mask,
     grid_oracle,
     lagrangian_maximum,
-    motzkin_straus_value,
     objective_value,
     random_gnp,
-    side_sum,
     support_reduce,
     turan_graph,
-    weight_map,
     weight_report,
 )
 import turanweights.lagrangian as lagrangian_mod
@@ -33,7 +31,9 @@ from turanweights.lagrangian import (
     STATUS_NO_POSITIVE,
     STATUS_SINGULAR,
     _clique_stationary,
+    _common_denominator,
     _edge_weights,
+    _side,
     _weight_matrix,
 )
 
@@ -41,9 +41,13 @@ from conftest import (
     _solve_clique_stationary,
     all_graphs,
     brute_grid_maximum,
+    motzkin_straus_value,
     naive_solve,
     random_rational_point,
+    ref_side,
+    ref_weights,
     reference_lagrangian_maximum,
+    support_of,
 )
 
 CLIQUE = WeightScheme.clique_weighted()
@@ -77,13 +81,6 @@ def points_strategy(n):
 # --- slow references: the Fraction implementations the integer core replaced --
 
 
-def ref_weights(g, scheme):
-    """{(u, v): w} in Fractions, from weight_report or the scheme's constant."""
-    if scheme.mode == "constant":
-        return {e: scheme.c for e in g.edges()}
-    return {(rec.u, rec.v): rec.w for rec in weight_report(g).records}
-
-
 def ref_stationary(wdict, clique):
     """Fraction-row stationary system, solved by plain Gaussian elimination."""
     k = len(clique)
@@ -108,14 +105,12 @@ def ref_objective(wdict, coords):
     return total
 
 
-def ref_side(wdict, coords, i):
-    total = Fraction(0)
-    for (u, v), w in wdict.items():
-        if u == i:
-            total += w * coords[v]
-        elif v == i:
-            total += w * coords[u]
-    return total
+def core_side_sum(g, scheme, x, i):
+    """The weighted neighbor sum at i as support_reduce computes it: _side on
+    the scaled weight matrix and the point over its common denominator."""
+    scale, edges = _edge_weights(g, scheme)
+    den, xs = _common_denominator(x)
+    return Fraction(_side(_weight_matrix(g.n, edges), xs, i), scale * den)
 
 
 def ref_support_reduce(g, wdict, coords):
@@ -166,17 +161,20 @@ class TestWeightScheme:
             WeightScheme.constant(0.5)
 
     def test_weight_map_clique_mode(self, k4_minus_edge):
-        wm = weight_map(k4_minus_edge, CLIQUE)
+        scale, edges = _edge_weights(k4_minus_edge, CLIQUE)
+        wm = {(u, v): Fraction(a, scale) for u, v, a in edges}
         assert wm == {e: Fraction(3, 4) for e in k4_minus_edge.edges()}
+        assert wm == ref_weights(k4_minus_edge, CLIQUE)
 
     def test_weight_map_constant_mode(self):
-        wm = weight_map(cycle_graph(5), WeightScheme.constant(Fraction(2, 7)))
+        scale, edges = _edge_weights(cycle_graph(5), WeightScheme.constant(Fraction(2, 7)))
+        wm = {(u, v): Fraction(a, scale) for u, v, a in edges}
         assert set(wm.values()) == {Fraction(2, 7)} and len(wm) == 5
 
 
 class TestSimplexPoint:
     def test_uniform(self):
-        assert SimplexPoint.uniform(4).coords == (Fraction(1, 4),) * 4
+        assert tuple(SimplexPoint.uniform(4)) == (Fraction(1, 4),) * 4
 
     def test_sum_must_be_one(self):
         with pytest.raises(ValueError):
@@ -191,15 +189,14 @@ class TestSimplexPoint:
             SimplexPoint((0.5, 0.5))
 
     def test_empty_point_allowed(self):
-        assert SimplexPoint(()).coords == ()
+        assert tuple(SimplexPoint(())) == ()
 
     def test_support(self):
         x = SimplexPoint((Fraction(1, 2), Fraction(0), Fraction(1, 2)))
-        assert x.support() == (0, 2)
         assert x.support_mask() == 0b101
 
     def test_integer_coercion(self):
-        assert SimplexPoint((1, 0)).coords == (Fraction(1), Fraction(0))
+        assert tuple(SimplexPoint((1, 0))) == (Fraction(1), Fraction(0))
 
 
 class TestObjective:
@@ -223,19 +220,19 @@ class TestObjective:
 
 class TestSideSum:
     def test_path_center(self):
-        assert side_sum(p3(), CLIQUE, SimplexPoint.uniform(3), 1) == Fraction(2, 3)
+        assert core_side_sum(p3(), CLIQUE, SimplexPoint.uniform(3), 1) == Fraction(2, 3)
 
     def test_isolated_vertex(self):
         g = from_edge_list(3, [(0, 1)])
-        assert side_sum(g, CLIQUE, SimplexPoint.uniform(3), 2) == 0
+        assert core_side_sum(g, CLIQUE, SimplexPoint.uniform(3), 2) == 0
 
     def test_k2_corner(self):
         x = SimplexPoint((Fraction(1), Fraction(0)))
-        assert side_sum(complete_graph(2), CLIQUE, x, 1) == 1
+        assert core_side_sum(complete_graph(2), CLIQUE, x, 1) == 1
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            side_sum(p3(), CLIQUE, SimplexPoint.uniform(3), 3)
+            core_side_sum(p3(), CLIQUE, SimplexPoint.uniform(3), 3)
 
     @given(graphs_strategy(5).flatmap(
         lambda g: st.tuples(st.just(g), points_strategy(g.n))),
@@ -245,16 +242,16 @@ class TestSideSum:
         # sum_i x_i s_i counts every edge's contribution twice: it equals 2f
         g, x = graph_point
         scheme = CLIQUE if mode == "clique" else WeightScheme.constant(Fraction(5, 3))
-        total = sum((x.coords[i] * side_sum(g, scheme, x, i) for i in range(g.n)), Fraction(0))
+        total = sum((x[i] * core_side_sum(g, scheme, x, i) for i in range(g.n)), Fraction(0))
         assert total == 2 * objective_value(g, scheme, x)
 
 
 class TestSupportReduce:
     def test_path_uniform_tie_to_lower_index(self):
         final, trace = support_reduce(p3(), CLIQUE, SimplexPoint.uniform(3))
-        assert final.coords == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
+        assert tuple(final) == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
         assert len(trace) == 1
-        step = trace.steps[0]
+        step = trace[0]
         assert (step.i, step.j) == (0, 2)
         assert step.s_i == step.s_j == Fraction(1, 3)
         assert step.f_before == step.f_after == Fraction(2, 9)
@@ -266,7 +263,7 @@ class TestSupportReduce:
 
     def test_edgeless_collapses_to_first_vertex(self):
         final, trace = support_reduce(empty_graph(3), CLIQUE, SimplexPoint.uniform(3))
-        assert final.coords == (Fraction(1), Fraction(0), Fraction(0))
+        assert tuple(final) == (Fraction(1), Fraction(0), Fraction(0))
         assert len(trace) == 2
         assert all(s.f_before == 0 and s.f_after == 0 for s in trace)
 
@@ -284,23 +281,24 @@ class TestSupportReduce:
         final, trace = support_reduce(g, scheme, x)
         assert len(trace) <= max(g.n - 1, 0)
         prev_point = x
-        prev_support = len(x.support())
+        prev_support = len(support_of(x))
+        wdict = ref_weights(g, scheme)
         for step in trace:
             # the shift identity, with every term recomputed independently
-            assert step.s_i == side_sum(g, scheme, prev_point, step.i)
-            assert step.s_j == side_sum(g, scheme, prev_point, step.j)
+            assert step.s_i == ref_side(wdict, prev_point, step.i)
+            assert step.s_j == ref_side(wdict, prev_point, step.j)
             assert step.s_i >= step.s_j
             assert not g.has_edge(step.i, step.j)
             assert step.f_before == objective_value(g, scheme, prev_point)
             assert step.f_after == objective_value(g, scheme, step.point_after)
-            gain = prev_point.coords[step.j] * (step.s_i - step.s_j)
+            gain = prev_point[step.j] * (step.s_i - step.s_j)
             assert step.f_after - step.f_before == gain >= 0
-            assert len(step.point_after.support()) == prev_support - 1
+            assert len(support_of(step.point_after)) == prev_support - 1
             prev_point = step.point_after
             prev_support -= 1
         assert final == prev_point
         # final support induces a clique
-        support = final.support()
+        support = support_of(final)
         for a_idx in range(len(support)):
             for b_idx in range(a_idx + 1, len(support)):
                 assert g.has_edge(support[a_idx], support[b_idx])
@@ -311,7 +309,7 @@ class TestSupportReduce:
         g = random_gnp(12, Fraction(1, 2), 5)
         x = SimplexPoint(random_rational_point(12, 17))
         final, trace = support_reduce(g, CLIQUE, x)
-        values = [trace.steps[0].f_before] + [s.f_after for s in trace]
+        values = [trace[0].f_before] + [s.f_after for s in trace]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -334,7 +332,7 @@ class TestLagrangianMaximum:
             for scheme in (CLIQUE, CONST1):
                 out = lagrangian_maximum(g, scheme)
                 assert objective_value(g, scheme, out.witness) == out.maximum
-                assert out.witness.support() == out.support.vertices
+                assert support_of(out.witness) == tuple(out.support)
 
     def test_maximum_dominates_candidates(self):
         for g in all_graphs(4):
@@ -345,7 +343,7 @@ class TestLagrangianMaximum:
 
     def test_candidate_ledger_order_and_singletons(self):
         out = lagrangian_maximum(p3(), CLIQUE)
-        cliques = [c.clique.vertices for c in out.candidates]
+        cliques = [tuple(c.clique) for c in out.candidates]
         assert cliques == [(0,), (0, 1), (1,), (1, 2), (2,)]
         for c in out.candidates:
             if len(c.clique) == 1:
@@ -392,7 +390,7 @@ class TestLagrangianMaximum:
 
     def test_null_graph(self):
         out = lagrangian_maximum(empty_graph(0), CLIQUE)
-        assert out.maximum == 0 and out.support.vertices == () and out.candidates == ()
+        assert out.maximum == 0 and tuple(out.support) == () and out.candidates == ()
 
     def test_candidate_cap(self, monkeypatch):
         k5 = complete_graph(5)  # 31 cliques
@@ -479,7 +477,7 @@ class TestIntegerCoreMatchesReference:
                 for g in all_graphs(n):
                     wdict = ref_weights(g, scheme)
                     for cand in lagrangian_maximum(g, scheme).candidates:
-                        status, value, _ = ref_stationary(wdict, cand.clique.vertices)
+                        status, value, _ = ref_stationary(wdict, tuple(cand.clique))
                         assert (cand.status, cand.value) == (status, value)
 
     @given(graphs_strategy(8).flatmap(
@@ -492,13 +490,13 @@ class TestIntegerCoreMatchesReference:
         g, x = graph_point
         wdict = ref_weights(g, scheme)
         final, trace = support_reduce(g, scheme, x)
-        expected = ref_support_reduce(g, wdict, x.coords)
-        assert [(s.i, s.j, s.s_i, s.s_j, s.f_before, s.f_after, s.point_after.coords)
+        expected = ref_support_reduce(g, wdict, tuple(x))
+        assert [(s.i, s.j, s.s_i, s.s_j, s.f_before, s.f_after, tuple(s.point_after))
                 for s in trace] == expected
-        assert final.coords == (expected[-1][6] if expected else x.coords)
-        assert objective_value(g, scheme, x) == ref_objective(wdict, x.coords)
+        assert tuple(final) == (expected[-1][6] if expected else tuple(x))
+        assert objective_value(g, scheme, x) == ref_objective(wdict, tuple(x))
         for i in range(g.n):
-            assert side_sum(g, scheme, x, i) == ref_side(wdict, x.coords, i)
+            assert core_side_sum(g, scheme, x, i) == ref_side(wdict, tuple(x), i)
 
 
 def doubled(g):
@@ -523,8 +521,8 @@ def ref_maximum(g, wdict):
 
 
 def outcome_tuple(out):
-    return (out.maximum, out.support.vertices, out.witness.coords,
-            [(c.clique.vertices, c.status, c.value) for c in out.candidates])
+    return (out.maximum, tuple(out.support), tuple(out.witness),
+            [(tuple(c.clique), c.status, c.value) for c in out.candidates])
 
 
 @pytest.fixture
@@ -557,7 +555,7 @@ class TestDistinctSystemsSolvedOnce:
         assert len(solve_sizes) == 2 * single
         assert both.maximum == out.maximum == Fraction(1, 4)
         assert both.support == out.support
-        assert both.witness.coords == out.witness.coords + (Fraction(0),) * g.n
+        assert tuple(both.witness) == tuple(out.witness) + (Fraction(0),) * g.n
         first = next(c for c in both.candidates if c.value == both.maximum)
         assert first.clique == both.support
 
@@ -598,7 +596,7 @@ class TestDistinctSystemsSolvedOnce:
             for g in all_graphs(6):
                 wdict = ref_weights(g, scheme)
                 for cand in lagrangian_maximum(g, scheme).candidates:
-                    clique = cand.clique.vertices
+                    clique = tuple(cand.clique)
                     key = tuple(wdict[e] for e in combinations(clique, 2))
                     if key not in slow:
                         slow[key] = ref_stationary(wdict, clique)[:2]
@@ -716,6 +714,25 @@ class TestGridOracle:
         monkeypatch.setattr(lagrangian_mod, "GRID_POINT_CAP", 1000)
         with pytest.raises(ValueError, match="exceed the cap of 1000"):
             grid_oracle(empty_graph(12), CLIQUE, 40)
+
+    def test_cap_refusal_names_no_count(self):
+        # C(10^6 + 2000, 2000) has over 5,000 digits, more than str() of an
+        # int may have; the refusal stops counting past the cap
+        with pytest.raises(ValueError, match="^grid points at resolution 1000000 on 2001 "
+                                             "vertices exceed the cap of 5000000$"):
+            grid_oracle(empty_graph(2001), CLIQUE, 10**6)
+
+    @pytest.mark.parametrize("cap", [1, 2, 20, 1000, 5004, 5005])
+    def test_cap_refusal_is_the_binomial_bound(self, monkeypatch, cap):
+        monkeypatch.setattr(lagrangian_mod, "GRID_POINT_CAP", cap)
+        for n in range(1, 16):
+            for resolution in range(1, 16):
+                try:
+                    grid_oracle(empty_graph(n), CONST1, resolution)
+                    refused = False
+                except ValueError:
+                    refused = True
+                assert refused == (comb(resolution + n - 1, n - 1) > cap), (n, resolution)
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from turanweights import (
     Graph,
     LagrangianOutcome,
     ReductionStep,
-    ReductionTrace,
     SimplexPoint,
     SweepStats,
     WeightReport,
@@ -60,7 +59,7 @@ def examples():
     _, trace = support_reduce(Graph(2, (0, 0)), WeightScheme.constant(1), SimplexPoint.uniform(2))
     report = weight_report(g)
     return [g, WeightScheme.constant(HALF), out.witness, out.support, out, out.candidates[0],
-            trace, trace[0], report, report.records[0], sweep_all_graphs(3)]
+            trace[0], report, report.records[0], sweep_all_graphs(3)]
 
 
 @pytest.mark.parametrize("cls, args, error, message", INVALID)
@@ -88,13 +87,17 @@ def test_pickle_round_trip(record):
 
 @pytest.mark.parametrize("record", examples(), ids=lambda r: type(r).__name__)
 def test_fields_cannot_be_assigned(record):
+    # a sequence record has no field attributes: its constructor's keyword
+    # cannot be set as one, and its items cannot be replaced
     names = getattr(record, "_fields", None) or [
-        {CliqueSet: "vertices", SimplexPoint: "coords", ReductionTrace: "steps"}[type(record)]]
+        {CliqueSet: "vertices", SimplexPoint: "coords"}[type(record)]]
     for name in names:
         with pytest.raises(AttributeError):
-            setattr(record, name, getattr(record, name))
+            setattr(record, name, getattr(record, name, tuple(record)))
     with pytest.raises(AttributeError):
         record.extra = 1
+    with pytest.raises(TypeError):
+        record[0] = record[0]
 
 
 def test_keyword_construction_matches_positional():
@@ -102,7 +105,6 @@ def test_keyword_construction_matches_positional():
     assert WeightScheme(mode="constant", c=HALF) == WeightScheme("constant", HALF)
     assert SimplexPoint(coords=(HALF, HALF)) == SimplexPoint((HALF, HALF))
     assert CliqueSet(vertices=(0, 3)) == CliqueSet((0, 3))
-    assert ReductionTrace(steps=()) == ReductionTrace(())
 
 
 def test_graph_and_scheme_hash_by_value():
@@ -126,7 +128,6 @@ def test_records_equal_plain_tuples_of_their_fields():
 def test_defaults():
     scheme = WeightScheme("clique")
     assert scheme.c == 1 and type(scheme.c) is Fraction
-    assert ReductionTrace().steps == () and len(ReductionTrace()) == 0
 
 
 def test_normalised_on_construction():
@@ -142,18 +143,15 @@ def test_repr_keeps_field_names_and_leaves_out_candidates():
         "witness=SimplexPoint(coords=(Fraction(1, 2), Fraction(1, 2))))")
     assert repr(Graph(2, (2, 1))) == "Graph(n=2, adj=(2, 1))"
     assert repr(WeightScheme("clique")) == "WeightScheme(mode='clique', c=Fraction(1, 1))"
-    assert repr(ReductionTrace()) == "ReductionTrace(steps=())"
 
 
-def test_sequence_records_keep_len_iteration_and_old_property():
+def test_sequence_records_keep_len_and_iteration():
     clique = CliqueSet((0, 2, 5))
-    assert len(clique) == 3 and list(clique) == [0, 2, 5] and clique.vertices == (0, 2, 5)
+    assert len(clique) == 3 and list(clique) == [0, 2, 5]
     point = SimplexPoint((HALF, 0, HALF))
     assert len(point) == 3 and list(point) == [HALF, 0, HALF]
-    assert point.coords == (HALF, 0, HALF) and type(point.coords) is tuple
     _, trace = support_reduce(Graph(2, (0, 0)), WeightScheme.constant(1), SimplexPoint.uniform(2))
-    assert len(trace) == 1 and list(trace) == list(trace.steps)
-    assert type(trace.steps) is tuple and isinstance(trace.steps[0], ReductionStep)
+    assert len(trace) == 1 and type(trace) is tuple and isinstance(trace[0], ReductionStep)
 
 
 def test_field_order():

@@ -13,7 +13,6 @@ from turanweights import (
     graph_from_mask,
     turan_bound_check,
     turan_graph,
-    verify_theorem,
     weight_report,
 )
 import turanweights.weights as weights_mod
@@ -93,34 +92,34 @@ class TestWeightReport:
 
 class TestVerifyTheorem:
     def test_empty_graph(self):
-        assert verify_theorem(empty_graph(9)) == Fraction(81, 4)
+        assert weight_report(empty_graph(9)).slack == Fraction(81, 4)
 
     def test_k6_tight(self):
-        assert verify_theorem(complete_graph(6)) == 0
+        assert weight_report(complete_graph(6)).slack == 0
 
     def test_turan_12_4_tight(self):
-        assert verify_theorem(turan_graph(12, 4)) == 0
+        assert weight_report(turan_graph(12, 4)).slack == 0
 
     def test_all_graphs_up_to_5(self):
         for n in range(6):
             for g in all_graphs(n):
-                assert verify_theorem(g) >= 0
+                assert weight_report(g).slack >= 0
 
     @pytest.mark.parametrize("n", range(17))
     def test_complete_graphs_tight(self, n):
         # every edge of K_n lies in the full clique: total = C(n,2) * n/(2(n-1)) = n^2/4
         if n >= 2:
-            assert verify_theorem(complete_graph(n)) == 0
+            assert weight_report(complete_graph(n)).slack == 0
 
     def test_tightness_family_divisible_parts(self):
         for n in range(17):
             for r in range(2, n + 1):
                 if n % r == 0:
-                    assert verify_theorem(turan_graph(n, r)) == 0, (n, r)
+                    assert weight_report(turan_graph(n, r)).slack == 0, (n, r)
 
     def test_turan_one_part_not_tight(self):
         # a single part has no edges, so the slack is the full bound
-        assert verify_theorem(turan_graph(6, 1)) == Fraction(9)
+        assert weight_report(turan_graph(6, 1)).slack == Fraction(9)
 
     def test_violation_carries_report(self):
         with pytest.raises(TheoremViolation) as info:
@@ -163,12 +162,12 @@ class TestTuranBoundCheck:
 @settings(max_examples=120, deadline=None)
 def test_slack_never_negative(n, data):
     mask = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
-    assert verify_theorem(graph_from_mask(n, mask)) >= 0
+    assert weight_report(graph_from_mask(n, mask)).slack >= 0
 
 
 def test_weight_report_raises_over_bound(monkeypatch):
     real = weights_mod.edge_weight
     monkeypatch.setattr(weights_mod, "edge_weight", lambda r: 2 * real(r))
     with pytest.raises(TheoremViolation, match="^total weight 8 exceeds bound 4 on graph C~$") as info:
-        verify_theorem(complete_graph(4))
+        weight_report(complete_graph(4)).slack
     assert info.value.report.slack == -4
