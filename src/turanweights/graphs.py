@@ -73,6 +73,13 @@ class Graph(namedtuple("Graph", "n adj")):
                 yield u, v
 
 
+def _built(n: int, rows: Iterable[int]) -> Graph:
+    """The graph on rows a builder made valid by construction: only n is checked."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    return tuple.__new__(Graph, (n, tuple(rows)))
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from (possibly duplicated or reversed) index pairs."""
     adj = [0] * n
@@ -83,22 +90,22 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return _built(n, adj)
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return _built(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
-    full = (1 << max(n, 0)) - 1  # a negative n is left for Graph to reject
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    full = (1 << max(n, 0)) - 1  # a negative n is left for _built to reject
+    return _built(n, [full ^ (1 << v) for v in range(n)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+    return _built(n, [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)])
 
 
 def turan_part_sizes(n: int, r: int) -> list[int]:
@@ -110,18 +117,14 @@ def turan_part_sizes(n: int, r: int) -> list[int]:
 
 
 def turan_graph(n: int, r: int) -> Graph:
-    """Complete multipartite graph with r parts of sizes as equal as possible."""
-    sizes = turan_part_sizes(n, r)
-    part = []
-    for idx, s in enumerate(sizes):
-        part.extend([idx] * s)
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part[u] != part[v]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    """Complete multipartite graph with r parts of sizes as equal as possible:
+    each row is every vertex outside the row's part (a negative n has none)."""
+    full = (1 << max(n, 0)) - 1
+    adj: list[int] = []
+    for size in turan_part_sizes(n, r):
+        if size > 0:
+            adj += [full ^ (((1 << size) - 1) << len(adj))] * size
+    return _built(n, adj)
 
 
 # --- deterministic randomness ------------------------------------------------
@@ -180,7 +183,7 @@ def random_gnp(n: int, p: Fraction | int, seed: int) -> Graph:
             if rng.bernoulli(p):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return _built(n, adj)
 
 
 # --- graph6 ------------------------------------------------------------------
@@ -276,7 +279,7 @@ def parse_graph6(text: str) -> Graph:
             u = low.bit_length() - 1
             low ^= 1 << u
             adj[u] |= bit
-    return tuple.__new__(Graph, (n, tuple(adj)))
+    return _built(n, adj)
 
 
 # base64 digit -> the graph6 character of the same 6-bit value
@@ -317,6 +320,8 @@ def parse_edge_list(text: str) -> Graph:
     n, m = nums[0], nums[1]
     if n > EDGE_LIST_MAX_N:
         raise ValueError("input too large to hold in memory")
+    if m < 0:
+        raise ValueError(f"edge count must be nonnegative, got {m}")
     if len(nums) != 2 + 2 * m:
         raise ValueError(f"expected {m} edges ({2 * m} endpoints), got {(len(nums) - 2)} tokens")
     pairs = [(nums[2 + 2 * i], nums[3 + 2 * i]) for i in range(m)]

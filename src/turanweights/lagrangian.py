@@ -256,14 +256,9 @@ def _clique_stationary(scale: int, mat: Sequence[Sequence[int]], clique: tuple[i
     edge twice.
     """
     k = len(clique)
-    rows = []
-    for i in clique:
-        weights = mat[i]
-        row = [weights[j] for j in clique]
-        row.append(-1)
-        rows.append(row)
-    rows.append([1] * k + [0])
-    sol = solve_linear_system(rows, [0] * k + [1])
+    rows = [[mat[i][j] for j in clique] + [-1, 0] for i in clique]
+    rows.append([1] * k + [0, 1])
+    sol = solve_linear_system(rows)
     if sol is None:
         return STATUS_SINGULAR, None, None
     xs = sol[:k]
@@ -292,12 +287,10 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
     vertices; the parent of a clique of size k is the latest clique of size
     k - 1, so one key per size is kept.
 
-    Under clique weights the maximum M must satisfy U <= M <= 1/4, where
-    U = total weight / n^2 is f at the uniform point, or InvariantViolation
+    Under clique weights and n > 0 the maximum M must satisfy U <= M <= 1/4,
+    where U = total weight / n^2 is f at the uniform point, or InvariantViolation
     is raised; a constant scheme has no 1/4 bound and is not checked.
     """
-    if g.n == 0:
-        return LagrangianOutcome(Fraction(0), CliqueSet(()), SimplexPoint(()), ())
     cap = DEFAULT_CANDIDATE_CAP
     cliques = list(islice(enumerate_cliques(g), cap + 1))
     if len(cliques) > cap:
@@ -324,7 +317,7 @@ def lagrangian_maximum(g: Graph, scheme: WeightScheme) -> LagrangianOutcome:
                 best_value, best_clique, best_coords = value, clique, coords
         candidates.append(CliqueCandidate(clique, *result))
     maximum = best_value if best_value is not None else Fraction(0)
-    if scheme.mode == "clique":
+    if scheme.mode == "clique" and g.n:
         uniform = Fraction(sum(a for _, _, a in edges), scale * g.n * g.n)
         if not uniform <= maximum <= Fraction(1, 4):
             raise InvariantViolation(
@@ -374,8 +367,6 @@ def grid_oracle(g: Graph, scheme: WeightScheme, resolution: int) -> Fraction:
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     n = g.n
-    if n == 0:
-        return Fraction(0)
     cap = GRID_POINT_CAP
     # C(a+b, b) as C(a+i, i) for i = 1..b, stopping at the first partial count
     # over the cap; C(a+i, i) >= C(2i, i) > cap from i = 13, so at most 13 steps

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 
 
-def solve_linear_system(rows: Sequence[Sequence[int]],
-                        rhs: Sequence[int]) -> list[Fraction] | None:
-    """Solve a square integer system exactly; None when no unique solution exists.
+def solve_linear_system(m: list[list[int]]) -> list[Fraction] | None:
+    """Solve the k x (k+1) augmented integer rows ``m``, eliminating them in
+    place; None when no unique solution exists.
 
     The rows are eliminated fraction-free: with the Bareiss update every
     intermediate entry stays an exact integer and the division by the
@@ -17,14 +16,7 @@ def solve_linear_system(rows: Sequence[Sequence[int]],
     D up to sign, so by Cramer's rule D times each unknown is an integer, and
     one Fraction is built per unknown at the end.
     """
-    k = len(rows)
-    if any(len(row) != k for row in rows) or len(rhs) != k:
-        raise ValueError("system must be square with a matching right-hand side")
-    if k == 0:
-        return []
-
-    m = [[*row, b] for row, b in zip(rows, rhs)]
-
+    k = len(m)
     prev = 1
     for col in range(k):
         piv = next((r for r in range(col, k) if m[r][col]), None)

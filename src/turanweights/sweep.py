@@ -8,7 +8,8 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
 
-from .graphs import Graph, SplitMix64, from_edge_list, random_gnp, turan_graph, write_graph6
+from .graphs import (Graph, SplitMix64, _built, from_edge_list, random_gnp, turan_graph,
+                     write_graph6)
 from .lagrangian import WeightScheme, lagrangian_maximum
 from .weights import (
     CorollaryViolation,
@@ -65,7 +66,7 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     bits = len(mask_pairs(n))
     if not 0 <= mask < 1 << bits:
         raise ValueError(f"mask {mask} is out of range for n={n}: need 0 <= mask < 2^{bits}")
-    return Graph(n, tuple(_mask_rows(n, mask)))
+    return _built(n, _mask_rows(n, mask))
 
 
 def _clique_table(adj: list[int]) -> list[int]:
@@ -332,7 +333,7 @@ def fuzz_random(n: int, p: Fraction | int, count: int, seed: int,
         for _ in range(count):
             g = random_gnp(n, p, master.next64())
             report = weight_report(g)
-            if n >= 1 and n <= lagrangian_cap:
+            if n <= lagrangian_cap:
                 lagrangian_maximum(g, WeightScheme.clique_weighted())
             yield 1, int(report.tight), report.total, [g] if report.tight else []
 

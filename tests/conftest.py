@@ -13,6 +13,7 @@ import turanweights.lagrangian as lagrangian_mod
 import turanweights.sweep as sweep_mod
 from turanweights import Graph, SplitMix64, graph_from_mask, mask_pairs, weight_report
 from turanweights.cliques import CliqueSet, edge_clique_numbers, enumerate_cliques, max_clique_size
+from turanweights.graphs import turan_part_sizes
 from turanweights.lagrangian import (
     CliqueCandidate,
     LagrangianOutcome,
@@ -80,6 +81,21 @@ def write_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count()}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
+
+
+def reference_turan_graph(n: int, r: int) -> Graph:
+    """T(n, r) pair by pair: u and v are adjacent when their parts differ.
+    The parts are the consecutive runs of turan_part_sizes, largest first."""
+    part = []
+    for idx, s in enumerate(turan_part_sizes(n, r)):
+        part.extend([idx] * s)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if part[u] != part[v]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
 
 
 def motzkin_straus_value(g: Graph) -> Fraction:

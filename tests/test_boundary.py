@@ -1,10 +1,12 @@
 """Values are checked once, at the boundary.
 
 ``Graph(n, adj)`` and ``SimplexPoint(coords)`` check every value a caller
-hands them.  ``parse_graph6`` checks its text and then builds the graph by
-construction, and ``support_reduce`` builds each step's point by
-construction.  These tests pin that the values built inside equal the ones
-the checked constructors accept, and that the checks are not run twice.
+hands them.  Inside the package values are built by construction: every
+graph builder (``parse_graph6``, ``from_edge_list``, ``parse_edge_list``,
+the generators and ``graph_from_mask``) checks its own arguments and then
+builds its rows valid, and ``support_reduce`` builds each step's point.
+These tests pin that the values built inside equal the ones the checked
+constructors accept, and that the checks are not run twice.
 """
 
 import tracemalloc
@@ -17,9 +19,14 @@ from turanweights import (
     Graph,
     Graph6Error,
     SimplexPoint,
+    SplitMix64,
     WeightScheme,
     complete_graph,
+    cycle_graph,
+    empty_graph,
     from_edge_list,
+    graph_from_mask,
+    parse_edge_list,
     parse_graph6,
     random_gnp,
     support_reduce,
@@ -28,7 +35,8 @@ from turanweights import (
 )
 from turanweights.lagrangian import _common_denominator
 
-from conftest import random_rational_point
+from conftest import random_rational_point, reference_turan_graph
+from test_cli import run_cli
 
 CLIQUE = WeightScheme.clique_weighted()
 SCHEMES = [CLIQUE, WeightScheme.constant(Fraction(5, 7))]
@@ -160,7 +168,9 @@ def count_constructor_calls(monkeypatch) -> dict:
 class TestChecksRunOnce:
     def test_counter_sees_the_checked_constructors(self, monkeypatch):
         calls = count_constructor_calls(monkeypatch)
-        assert Graph(2, (2, 1)) == complete_graph(2)
+        k2 = complete_graph(2)
+        assert calls == {Graph: 0, SimplexPoint: 0}
+        assert Graph(2, (2, 1)) == Graph(k2.n, k2.adj) == k2
         assert SimplexPoint((Fraction(1),)) == (1,)
         with pytest.raises(ValueError, match="asymmetric adjacency"):
             Graph(2, (2, 0))
@@ -185,3 +195,79 @@ class TestChecksRunOnce:
         assert len(trace) > 10
         assert calls == {Graph: 0, SimplexPoint: 0}
         assert SimplexPoint(final) == final
+
+
+def random_pairs(n: int, seed: int) -> list[tuple[int, int]]:
+    """About a third of the vertex pairs, in random orientation, some repeated."""
+    rng = SplitMix64(seed)
+    pairs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.below(3) == 0:
+                pairs.append((u, v) if rng.below(2) else (v, u))
+                if rng.below(4) == 0:
+                    pairs.append((v, u))
+    return pairs
+
+
+def edge_list_text(n: int, pairs: list[tuple[int, int]]) -> str:
+    return f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+def masks(n: int) -> list[int]:
+    """The empty, the full and one random edge mask on n vertices."""
+    bits = n * (n - 1) // 2
+    return [0, (1 << bits) - 1, SplitMix64(n).below(1 << bits)]
+
+
+SIZES = [0, 1, 2, 3, 7, 64, 65, 130]
+PROBABILITIES = [Fraction(0), Fraction(1, 3), Fraction(1)]
+# builder name -> the graphs it builds on n vertices
+BUILDERS = {
+    "complete_graph": lambda n: [complete_graph(n)],
+    "empty_graph": lambda n: [empty_graph(n)],
+    "cycle_graph": lambda n: [cycle_graph(n)] if n >= 3 else [],
+    "turan_graph": lambda n: [turan_graph(n, r) for r in range(1, n + 3)],
+    "random_gnp": lambda n: [random_gnp(n, p, seed) for p in PROBABILITIES for seed in (1, 2)],
+    "from_edge_list": lambda n: [from_edge_list(n, random_pairs(n, n))],
+    "parse_edge_list": lambda n: [parse_edge_list(edge_list_text(n, random_pairs(n, n)))],
+    "graph_from_mask": lambda n: [graph_from_mask(n, mask) for mask in masks(n)],
+}
+
+
+class TestTrustedBuilders:
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_builder_builds_no_checked_graph(self, monkeypatch, builder):
+        calls = count_constructor_calls(monkeypatch)
+        graphs = [g for n in SIZES for g in BUILDERS[builder](n)]
+        assert calls == {Graph: 0, SimplexPoint: 0}
+        assert {g.n for g in graphs} == {n for n in SIZES if builder != "cycle_graph" or n >= 3}
+        for g in graphs:
+            assert type(g) is Graph and type(g.adj) is tuple
+            assert Graph(g.n, g.adj) == g
+
+    def test_edge_lists_keep_every_pair(self, monkeypatch):
+        calls = count_constructor_calls(monkeypatch)
+        for n in SIZES:
+            pairs = random_pairs(n, n)
+            edges = {(min(p), max(p)) for p in pairs}
+            assert set(from_edge_list(n, pairs).edges()) == edges
+            assert set(parse_edge_list(edge_list_text(n, pairs)).edges()) == edges
+        assert calls == {Graph: 0, SimplexPoint: 0}
+
+    def test_turan_matches_the_pairwise_reference(self, monkeypatch):
+        calls = count_constructor_calls(monkeypatch)
+        built = {(n, r): turan_graph(n, r) for n in range(31) for r in range(1, n + 3)}
+        assert calls == {Graph: 0, SimplexPoint: 0}
+        for (n, r), g in built.items():
+            assert g == reference_turan_graph(n, r), (n, r)
+
+    @pytest.mark.parametrize("argv", [
+        ["complete", "-1"], ["empty", "-1"], ["turan", "-1", "1"], ["turan", "-1", "2"],
+        ["turan", "-1", "3"], ["gnp", "-1", "1/2"], ["gnp", "-1", "0", "--seed", "3"],
+    ], ids=" ".join)
+    def test_negative_vertex_count_refused_by_the_builder(self, monkeypatch, argv):
+        calls = count_constructor_calls(monkeypatch)
+        assert run_cli(["gen", *argv]) == (
+            1, "", "turanweights: usage: vertex count must be nonnegative, got -1\n")
+        assert calls == {Graph: 0, SimplexPoint: 0}

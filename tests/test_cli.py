@@ -484,6 +484,18 @@ class TestInputHandling:
         assert (code, out) == (1, "")
         assert err == "turanweights: usage: input too large to hold in memory\n"
 
+    @pytest.mark.parametrize("stdin_text", ["3 -1\n", "3 -1\n0 1\n", "0 -5\n"],
+                             ids=["no-pairs", "one-pair", "null-graph"])
+    def test_negative_edge_count_named(self, stdin_text):
+        # the count is refused by name, not as a mismatch with the tokens read
+        m = stdin_text.split()[1]
+        assert run_cli(["verify"], stdin_text=stdin_text) == (
+            1, "", f"turanweights: usage: edge count must be nonnegative, got {m}\n")
+        code, out, err = run_cli(["verify", "--format", "json"], stdin_text=stdin_text)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "kind": "usage", "message": f"edge count must be nonnegative, got {m}"}}
+
     def test_oversized_edge_list_header_json(self):
         code, out, err = run_cli(["verify", "--format", "json"],
                                  stdin_text="1000000000000000 0\n")

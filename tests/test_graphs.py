@@ -283,6 +283,13 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             parse_edge_list("3 2\n0 1\n")
 
+    def test_negative_edge_count_named(self):
+        for text in ("3 -1\n", "3 -1\n0 1\n", "2 -2\n0 1\n1 0\n"):
+            m = text.split()[1]
+            with pytest.raises(ValueError) as info:
+                parse_edge_list(text)
+            assert str(info.value) == f"edge count must be nonnegative, got {m}"
+
     def test_non_integers(self):
         with pytest.raises(ValueError):
             parse_edge_list("3 x\n")

@@ -531,9 +531,9 @@ def solve_sizes(monkeypatch):
     sizes = []
     real = lagrangian_mod.solve_linear_system
 
-    def counting(rows, rhs):
-        sizes.append(len(rows))
-        return real(rows, rhs)
+    def counting(m):
+        sizes.append(len(m))
+        return real(m)
 
     monkeypatch.setattr(lagrangian_mod, "solve_linear_system", counting)
     return sizes

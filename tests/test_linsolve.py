@@ -1,56 +1,61 @@
 from fractions import Fraction
 from math import lcm
 
-import pytest
-
 from turanweights import SplitMix64
 from turanweights.linsolve import solve_linear_system
 
 from conftest import naive_solve
 
 
+def augmented(rows, rhs):
+    """The rows of the system rows x = rhs, each followed by its right-hand side."""
+    return [[*row, b] for row, b in zip(rows, rhs)]
+
+
 def integral(rows, rhs):
-    """Each rational row and its right-hand side times the lcm of their denominators."""
-    out_rows, out_rhs = [], []
+    """Augmented rows: each rational row and its right-hand side times the lcm
+    of their denominators."""
+    out = []
     for row, b in zip(rows, rhs):
         den = lcm(*[Fraction(x).denominator for x in row], Fraction(b).denominator)
-        out_rows.append([int(x * den) for x in row])
-        out_rhs.append(int(b * den))
-    return out_rows, out_rhs
+        out.append([int(x * den) for x in (*row, b)])
+    return out
 
 
 def test_two_by_two():
-    sol = solve_linear_system([[2, 1], [1, 3]], [5, 10])
+    sol = solve_linear_system([[2, 1, 5], [1, 3, 10]])
     assert sol == [Fraction(1), Fraction(3)]
 
 
 def test_fractional_entries():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1)]]
     rhs = [Fraction(7, 6), Fraction(11, 5)]
-    sol = solve_linear_system(*integral(rows, rhs))
+    sol = solve_linear_system(integral(rows, rhs))
     assert sol == [Fraction(1), Fraction(2)]
 
 
 def test_needs_row_swap():
-    sol = solve_linear_system([[0, 1], [1, 0]], [3, 4])
+    sol = solve_linear_system([[0, 1, 3], [1, 0, 4]])
     assert sol == [Fraction(4), Fraction(3)]
 
 
 def test_singular_rank_deficient():
-    assert solve_linear_system([[1, 2], [2, 4]], [1, 2]) is None
+    assert solve_linear_system([[1, 2, 1], [2, 4, 2]]) is None
 
 
 def test_singular_zero_matrix():
-    assert solve_linear_system([[0, 0], [0, 0]], [0, 0]) is None
+    assert solve_linear_system([[0, 0, 0], [0, 0, 0]]) is None
 
 
 def test_empty_system():
-    assert solve_linear_system([], []) == []
+    assert solve_linear_system([]) == []
 
 
-def test_shape_mismatch():
-    with pytest.raises(ValueError):
-        solve_linear_system([[1]], [1, 2])
+def test_rows_are_eliminated_in_place():
+    m = [[2, 1, 5], [1, 3, 10]]
+    assert solve_linear_system(m) == [Fraction(1), Fraction(3)]
+    # Bareiss: the second row becomes (0, 2*3 - 1*1, 2*10 - 1*5), over the first pivot 1
+    assert m == [[2, 1, 5], [0, 5, 15]]
 
 
 def test_hilbert_exact():
@@ -58,7 +63,7 @@ def test_hilbert_exact():
     rows = [[Fraction(1, i + j + 1) for j in range(k)] for i in range(k)]
     expected = [Fraction(i + 1, 2) for i in range(k)]
     rhs = [sum(rows[i][j] * expected[j] for j in range(k)) for i in range(k)]
-    assert solve_linear_system(*integral(rows, rhs)) == expected
+    assert solve_linear_system(integral(rows, rhs)) == expected
 
 
 def test_random_systems_match_naive_oracle():
@@ -67,7 +72,7 @@ def test_random_systems_match_naive_oracle():
         k = 1 + rng.below(5)
         rows = [[rng.below(21) - 10 for _ in range(k)] for _ in range(k)]
         rhs = [rng.below(21) - 10 for _ in range(k)]
-        assert solve_linear_system(rows, rhs) == naive_solve(rows, rhs)
+        assert solve_linear_system(augmented(rows, rhs)) == naive_solve(rows, rhs)
 
 
 def test_random_fractional_systems_match_naive_oracle():
@@ -77,7 +82,7 @@ def test_random_fractional_systems_match_naive_oracle():
         rows = [[Fraction(rng.below(19) - 9, 1 + rng.below(7)) for _ in range(k)]
                 for _ in range(k)]
         rhs = [Fraction(rng.below(19) - 9, 1 + rng.below(7)) for _ in range(k)]
-        assert solve_linear_system(*integral(rows, rhs)) == naive_solve(rows, rhs)
+        assert solve_linear_system(integral(rows, rhs)) == naive_solve(rows, rhs)
 
 
 def test_integer_rows_match_fraction_twins():
@@ -90,7 +95,7 @@ def test_integer_rows_match_fraction_twins():
         rows = [[rng.below(7) - 3 for _ in range(k)] for _ in range(k)]
         rhs = [rng.below(7) - 3 for _ in range(k)]
         twin = naive_solve(rows, rhs)
-        assert solve_linear_system(rows, rhs) == twin
+        assert solve_linear_system(augmented(rows, rhs)) == twin
         singular += twin is None
     assert singular > 0
 
@@ -104,11 +109,11 @@ def test_mixed_integer_and_fraction_rows():
         rhs = [rng.below(9) - 4 for _ in range(k)]
         factors = [(rng.below(9) - 4 or 5) if r % 2 else 1 for r in range(k)]
         scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
-        assert solve_linear_system(scaled, [f * b for f, b in zip(factors, rhs)]) \
+        assert solve_linear_system(augmented(scaled, [f * b for f, b in zip(factors, rhs)])) \
             == naive_solve(rows, rhs)
 
 
 def test_integer_results_are_fractions():
-    sol = solve_linear_system([[2, 0], [0, 4]], [6, 2])
+    sol = solve_linear_system([[2, 0, 6], [0, 4, 2]])
     assert sol == [3, Fraction(1, 2)]
     assert all(type(x) is Fraction for x in sol)
