@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii
 from .graphs import (
     Graph,
     Graph6Error,
+    _as_exact,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -49,24 +50,13 @@ USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 
-def _parse_rational(text: str) -> Fraction:
-    """p, p/q or a decimal.  An exponent is refused: Fraction would compute
-    10**exp before anything could check its size."""
-    if "e" not in text and "E" not in text:
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"invalid rational {text!r}; expected p or p/q")
-
-
 def _parse_mode(text: str) -> WeightScheme:
     if text == "clique":
         return WeightScheme.clique_weighted()
     if text == "constant":
         return WeightScheme.constant(1)
     if text.startswith("constant:"):
-        return WeightScheme.constant(_parse_rational(text.split(":", 1)[1]))
+        return WeightScheme.constant(text.split(":", 1)[1])
     raise ValueError(f"invalid mode {text!r}; expected clique or constant:c")
 
 
@@ -180,7 +170,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "cycle":
         g = cycle_graph(args.n)
     else:
-        g = random_gnp(args.n, _parse_rational(args.p), args.seed)
+        g = random_gnp(args.n, args.p, args.seed)
     print(write_graph6(g))
     return 0
 
@@ -253,10 +243,8 @@ def _cmd_lagrangian(args) -> int:
 
 def _start_point(spec_text: str, n: int) -> SimplexPoint:
     if spec_text == "uniform":
-        if n < 1:
-            raise ValueError("uniform start point needs at least one vertex")
         return SimplexPoint.uniform(n)
-    coords = tuple(_parse_rational(t) for t in spec_text.split(","))
+    coords = tuple(_as_exact(t) for t in spec_text.split(","))
     if len(coords) != n:
         raise ValueError(f"start point has {len(coords)} coordinates, graph has {n}")
     return SimplexPoint(coords)
@@ -334,7 +322,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    p = _parse_rational(args.p)
+    p = _as_exact(args.p)
     stats = fuzz_random(args.n, p, args.count, args.seed, lagrangian_cap=args.lagrangian_cap)
     params = {"n": args.n, "p": p, "count": args.count, "seed": args.seed}
     return _campaign(args, params, stats)

@@ -14,12 +14,21 @@ EDGE_LIST_MAX_N = 5_000_000
 
 
 def _as_exact(value) -> Fraction:
-    """``value`` as a Fraction; a float is refused, never rounded to its binary value."""
+    """``value`` as a Fraction; text reads as p, p/q or a decimal.  An exponent is
+    refused, as Fraction would compute 10**exp before anything could check its
+    size, and a float is refused, never rounded to its binary value."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed in exact computations")
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    if "e" not in value and "E" not in value:
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"invalid rational {value!r}; expected p or p/q")
 
 
 class Graph6Error(ValueError):

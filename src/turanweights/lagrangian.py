@@ -79,9 +79,10 @@ class SimplexPoint(tuple):
 
     @staticmethod
     def uniform(n: int) -> "SimplexPoint":
+        """n copies of 1/n, a point by construction: only n is checked."""
         if n < 1:
-            raise ValueError("uniform point needs at least one coordinate")
-        return SimplexPoint((Fraction(1, n),) * n)
+            raise ValueError("uniform start point needs at least one vertex")
+        return tuple.__new__(SimplexPoint, (Fraction(1, n),) * n)
 
     def support_mask(self) -> int:
         m = 0

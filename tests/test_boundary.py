@@ -178,6 +178,19 @@ class TestChecksRunOnce:
             SimplexPoint((Fraction(1, 2),))
         assert calls == {Graph: 3, SimplexPoint: 2}
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_uniform_point_builds_no_checked_point(self, monkeypatch, n):
+        calls = count_constructor_calls(monkeypatch)
+        x = SimplexPoint.uniform(n)
+        assert calls == {Graph: 0, SimplexPoint: 0}
+        assert type(x) is SimplexPoint
+        assert SimplexPoint(x) == x == (Fraction(1, n),) * n
+
+    def test_uniform_point_needs_a_vertex(self):
+        with pytest.raises(ValueError) as info:
+            SimplexPoint.uniform(0)
+        assert str(info.value) == "uniform start point needs at least one vertex"
+
     def test_parse_graph6_builds_no_checked_graph(self, monkeypatch):
         lines = ["?", "@", "A_", "Bw", ">>graph6<<DQc", write_graph6(complete_graph(66))]
         calls = count_constructor_calls(monkeypatch)

@@ -555,10 +555,11 @@ class TestOversizedArguments:
     @pytest.mark.parametrize("argv", [
         ["gen", "empty", BIG],
         ["gen", "complete", BIG],
+        ["gen", "cycle", BIG],
         ["gen", "turan", "5", BIG],
         ["gen", "turan", BIG, "2"],
         ["campaign", "--n", "5", "--r", BIG, "--count", "1", "--seed", "1"],
-    ], ids=["empty", "complete", "turan-r", "turan-n", "campaign-r"])
+    ], ids=["empty", "complete", "cycle", "turan-r", "turan-n", "campaign-r"])
     def test_overflow_is_too_large(self, argv):
         assert run_cli(argv) == (1, "", TOO_LARGE)
 

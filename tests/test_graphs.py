@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from turanweights import (
     Graph,
     Graph6Error,
+    SimplexPoint,
     SplitMix64,
+    WeightScheme,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -22,7 +26,7 @@ from turanweights import (
     turan_graph,
     write_graph6,
 )
-from turanweights.graphs import GRAPH6_MAX_N, _decode_size, _encode_size, turan_part_sizes
+from turanweights.graphs import GRAPH6_MAX_N, _as_exact, _decode_size, _encode_size, turan_part_sizes
 
 from conftest import write_edge_list
 
@@ -160,6 +164,47 @@ class TestRandomGnp:
         draws = [rng.below(3) for _ in range(300)]
         assert set(draws) <= {0, 1, 2}
         assert all(draws.count(v) > 50 for v in (0, 1, 2))
+
+
+
+def refused(text: str) -> str:
+    """The message every library entry gives for rational text it cannot read."""
+    return f"invalid rational {text!r}; expected p or p/q"
+
+
+class TestOneRationalParser:
+    """``_as_exact`` reads every rational a library entry takes as text."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: random_gnp(3, "5e-1", 1), "5e-1"),
+        (lambda: WeightScheme.constant("1e2"), "1e2"),
+        (lambda: SimplexPoint(["1e0"]), "1e0"),
+        (lambda: fuzz_random(3, "5e-1", 1, 1), "5e-1"),
+    ], ids=["random_gnp", "WeightScheme.constant", "SimplexPoint", "fuzz_random"])
+    def test_exponent_refused(self, call, text):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == refused(text)
+
+    def test_huge_exponent_refused_at_once(self):
+        # Fraction would compute 10**99999999 first; a child's timeout fails a hang
+        code = "from turanweights import random_gnp; random_gnp(3, '1e-99999999', 1)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=20)
+        assert result.returncode == 1
+        assert result.stderr.endswith(f"ValueError: {refused('1e-99999999')}\n")
+
+    def test_what_parses_and_what_is_refused(self):
+        for value, expected in [("1/2", Fraction(1, 2)), (" 1/2 ", Fraction(1, 2)),
+                                ("0.25", Fraction(1, 4)), (3, 3), (Fraction(1, 3), Fraction(1, 3))]:
+            assert type(_as_exact(value)) is Fraction and _as_exact(value) == expected
+        assert random_gnp(9, " 1/3 ", 4) == random_gnp(9, Fraction(1, 3), 4)
+        assert WeightScheme.constant("0.25").c == Fraction(1, 4)
+        assert SimplexPoint(["1/2", " 0.5 "]) == (Fraction(1, 2),) * 2
+        for text in ["1/0", "abc", ""]:
+            with pytest.raises(ValueError) as info:
+                _as_exact(text)
+            assert str(info.value) == refused(text)
 
 
 class TestGraph6:
