@@ -92,12 +92,13 @@ class SimplexPoint(tuple):
         return m
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def _edge_weights(g: Graph, scheme: WeightScheme) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """(scale, ((u, v, a), ...)): edge uv (u < v, lexicographic) has weight a/scale.
 
     ``scale`` is the lcm of the denominators of the weights present, which
-    keeps the integers small; cached per graph+scheme.
+    keeps the integers small.  Only the last graph+scheme is cached: callers
+    reread a table only on consecutive calls for the same graph.
     """
     if scheme.mode == "constant":
         return scheme.c.denominator, tuple((u, v, scheme.c.numerator) for u, v in g.edges())

@@ -185,10 +185,10 @@ class _Blocks:
         self.inner_pairs = [[b for b, (u, v) in enumerate(self.pairs) if nbhd >> u & nbhd >> v & 1]
                             for nbhd in range(1 << k)]
 
-    def check(self, high: int, tight_cap: int) -> tuple[int, int, list[int], int | None]:
+    def check(self, high: int) -> tuple[int, int, list[int], int | None]:
         """Check the masks (high << k) | N for every N, ascending; return (tight
-        count, max_total_scaled, tight masks up to tight_cap, first violating
-        mask or None), stopping at the first mask over the bound."""
+        count, max_total_scaled, the tight masks in ascending order, first
+        violating mask or None), stopping at the first mask over the bound."""
         table, bound4, members, inner_pairs = self.table, self.bound4, self.members, self.inner_pairs
         first = high << self.k
         adj = _mask_rows(self.k, high)
@@ -206,7 +206,6 @@ class _Blocks:
                 r = 2 + om[common]
                 base += table[r]
                 gains[b] = (common, om[common], table[r + 1] - table[r])
-        tight = 0
         max_total = 0
         tight_masks: list[int] = []
         for nbhd in range(1 << self.k):
@@ -219,14 +218,12 @@ class _Blocks:
                     total += gain[2]
             quad = 4 * total
             if quad > bound4:
-                return tight, max_total, tight_masks, first + nbhd
+                return len(tight_masks), max_total, tight_masks, first + nbhd
             if quad == bound4:
-                tight += 1
-                if len(tight_masks) < tight_cap:
-                    tight_masks.append(first + nbhd)
+                tight_masks.append(first + nbhd)
             if total > max_total:
                 max_total = total
-        return tight, max_total, tight_masks, None
+        return len(tight_masks), max_total, tight_masks, None
 
 
 def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
@@ -238,9 +235,10 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
     totals.  The sweep checks one block per class of H, the block of the
     class's least member, in class order, and counts its tight graphs once
     per member.  The first violating mask is in the block of the least
-    violating class's least member, which that block's check returns; the
-    first tight masks come from rechecking the labeled blocks of tight
-    classes in ascending order.
+    violating class's least member, which that block's check returns.  The
+    tight graphs are a lazy stream: each tight class's members, found in
+    ascending order by array.index on the labels, merged across classes,
+    each block rechecked; _tally reads only as far as the tight-example cap.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the sweep cap of {cap}")
@@ -258,7 +256,7 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
     tights: list[int] = []
     max_total = 0
     for high in orbits.reps:
-        class_tight, class_max, _, violation = blocks.check(high, 0)
+        class_tight, class_max, _, violation = blocks.check(high)
         if violation is not None:
             # weight_report raises when the rational path sees the violation too
             g = graph_from_mask(n, violation)
@@ -269,24 +267,19 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
         max_total = max(max_total, class_max)
 
     tight = sum(t * size for t, size in zip(tights, orbits.sizes))
-    tight_masks: list[int] = []
-    wanted = min(tight, tight_cap)
-    # the next unchecked block of each tight class, starting at its least
-    # member; array.index finds the following one, and a class whose members
-    # are all checked is dropped rather than searched to the end of the table
-    upcoming = {c: orbits.reps[c] for c, t in enumerate(tights) if t}
-    left = {c: orbits.sizes[c] for c in upcoming}
-    while len(tight_masks) < wanted:
-        c = min(upcoming, key=upcoming.__getitem__)
-        high = upcoming[c]
-        tight_masks += blocks.check(high, wanted - len(tight_masks))[2]
-        left[c] -= 1
-        if left[c]:
-            upcoming[c] = orbits.labels.index(c, high + 1)
-        else:
-            del upcoming[c]
-    part = (sum(orbits.sizes) << blocks.k, tight, Fraction(max_total, blocks.scale),
-            (graph_from_mask(n, m) for m in tight_masks))
+    from heapq import merge  # only the sweep needs it; every command's start-up skips it
+
+    def members(c: int) -> Iterator[int]:
+        # sizes[c] scans: none searches on from a class's last member to the table's end
+        high = orbits.reps[c] - 1
+        for _ in range(orbits.sizes[c]):
+            high = orbits.labels.index(c, high + 1)
+            yield high
+
+    tight_graphs = (graph_from_mask(n, m)
+                    for high in merge(*[members(c) for c, t in enumerate(tights) if t])
+                    for m in blocks.check(high)[2])
+    part = (sum(orbits.sizes) << blocks.k, tight, Fraction(max_total, blocks.scale), tight_graphs)
     return _tally(n, Fraction(n * n, 4), [part], tight_cap)
 
 
@@ -294,8 +287,9 @@ def _tally(n: int, bound: Fraction, parts: Iterable[Part], tight_cap: int) -> Sw
     """Merge (checked, tight, max_total, tight_graphs) parts, in order, into campaign stats.
 
     Every graph of a campaign is measured against the one ``bound``, so the
-    minimum slack is ``bound - max_total``; only the first ``tight_cap`` tight
-    graphs are encoded.
+    minimum slack is ``bound - max_total``.  This is the one place the
+    tight-example cap applies: tight graphs are read from the parts'
+    iterables only up to it, so a lazy producer makes none past the cap.
     """
     checked = tight = 0
     max_total = Fraction(0)

@@ -23,8 +23,10 @@ from turanweights import (
     support_reduce,
     turan_graph,
     weight_report,
+    write_graph6,
 )
 import turanweights.lagrangian as lagrangian_mod
+from turanweights.cli import main
 from turanweights.cliques import enumerate_cliques
 from turanweights.lagrangian import (
     STATUS_INTERIOR,
@@ -686,6 +688,29 @@ class TestMotzkinStrausValue:
     def test_edgeless(self):
         assert motzkin_straus_value(empty_graph(4)) == 0
         assert motzkin_straus_value(empty_graph(0)) == 0
+
+
+class TestWeightTableCache:
+    """The weight table is cached for one graph: every command rereads it only
+    on consecutive calls for the same graph."""
+
+    GRAPHS = [complete_graph(4), cycle_graph(5), turan_graph(6, 3)]
+
+    def test_holds_one_graph(self):
+        _edge_weights.cache_clear()
+        for g in self.GRAPHS:
+            grid_oracle(g, CLIQUE, 3)
+        info = _edge_weights.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (1, 1, 3)
+
+    def test_reduce_reads_each_table_three_times(self, tmp_path, capsys):
+        # support_reduce and the two objective_value calls of one record
+        path = tmp_path / "three.g6"
+        path.write_text("".join(write_graph6(g) + "\n" for g in self.GRAPHS))
+        _edge_weights.cache_clear()
+        assert main(["reduce", str(path)]) == 0
+        info = _edge_weights.cache_info()
+        assert (info.misses, info.hits) == (3, 6)
 
 
 class TestGridOracle:

@@ -14,6 +14,7 @@ from turanweights import (
     fuzz_random,
     graph_from_mask,
     mask_pairs,
+    parse_graph6,
     sweep_all_graphs,
     turan_bound_campaign,
     turan_bound_check,
@@ -25,6 +26,21 @@ import turanweights.sweep as sweep_mod
 from turanweights.cli import main
 
 from conftest import all_graphs, reference_plain, reference_sweep_shard
+
+
+@cache
+def n8_tight_masks():
+    """Every tight mask on 8 vertices, ascending: each block whose graph H on
+    vertices 1..7 lies in a class whose least member's block has a tight graph."""
+    orbits = sweep_mod.orbit_table(7)
+    blocks = sweep_mod._Blocks(8)
+    tight_classes = {c for c, rep in enumerate(orbits.reps) if blocks.check(rep)[0]}
+    masks = []
+    for high, c in enumerate(orbits.labels):
+        if c in tight_classes:
+            masks += blocks.check(high)[2]
+    assert len(masks) == 141
+    return masks
 
 
 class TestSweepAllGraphs:
@@ -92,6 +108,17 @@ class TestSweepAllGraphs:
         assert stats.tight_count == 141
         assert stats.max_total_weight == 16 and stats.min_slack == 0
 
+    @pytest.mark.parametrize("tight_cap", [10, 141])
+    def test_n8_tight_examples(self, tight_cap):
+        # the stream of merged per-class scans, cut by _tally, against a plain
+        # ascending walk over every block of a tight class
+        stats = sweep_all_graphs(8, cap=8, tight_cap=tight_cap)
+        expected = n8_tight_masks()[:tight_cap]
+        assert stats.tight_examples == tuple(write_graph6(graph_from_mask(8, m))
+                                             for m in expected)
+        for example in stats.tight_examples:
+            assert weight_report(parse_graph6(example)).slack == 0
+
     @pytest.mark.parametrize("n", [10, 11, 10**6])
     def test_past_max_n_refused_before_allocating(self, monkeypatch, n):
         def no_table(k):
@@ -144,23 +171,28 @@ def inflate_weights(monkeypatch, inflate):
 
 
 def check_matches_reference(blocks, n, high, tight_cap):
-    """The check of one whole block against the per-mask reference over it.
-
-    A tight_cap of None keeps every tight mask of the block.
-    """
+    """The check of one whole block against the uncapped per-mask reference
+    over it, and the block's first tight_cap tight masks as _tally cuts them
+    from the check's list, against the reference's (None keeps them all)."""
     first = high << blocks.k
     size = 1 << blocks.k
-    tight_cap = size if tight_cap is None else tight_cap
-    result = blocks.check(high, tight_cap)
-    checked, *ref = reference_sweep_shard((n, first, first + size, tight_cap))
-    assert result == tuple(ref), (n, high, tight_cap)
+    result = blocks.check(high)
+    checked, *ref = reference_sweep_shard((n, first, first + size, size))
+    assert result == tuple(ref), (n, high)
     assert checked == (size if result[3] is None else result[3] - first)
+    tight, max_total, tight_masks, _ = result
+    cap = size if tight_cap is None else tight_cap
+    part = (checked, tight, Fraction(max_total, blocks.scale),
+            (graph_from_mask(n, m) for m in tight_masks))
+    examples = sweep_mod._tally(n, Fraction(n * n, 4), [part], cap).tight_examples
+    assert examples == tuple(write_graph6(graph_from_mask(n, m)) for m in ref[2][:cap])
     return result
 
 
 class TestBlockShard:
     """The vertex-0 block recurrence, one whole block at a time, against the
-    per-mask reference loop; the parameter after n is the tight cap."""
+    per-mask reference loop; the parameter after n is the tight-example cap
+    that _tally applies to the block's tight masks."""
 
     @pytest.mark.parametrize("tight_cap", [0, 1, 3, 7, 64, 1000, None])
     @pytest.mark.parametrize("n", range(7))
