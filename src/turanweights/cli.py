@@ -11,7 +11,9 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from .graphs import (
@@ -156,8 +158,100 @@ def _per_graph(args, envelope: dict, build, human, tsv) -> int:
     leaves stdout empty.
     """
     graphs = _read_graphs(args.input, args.input_format)
-    envelope["reports"] = [build(idx, g) for idx, g in enumerate(graphs, 1)]
+    envelope["reports"] = _build_records(build, graphs)
     return _render(args, envelope, envelope["reports"], human, tsv)
+
+
+# Fewest graphs worth a forked worker: an input of fewer than twice this many
+# is built in one process.  README gives the measurement behind it.
+MIN_GRAPHS_PER_JOB = 256
+
+
+def _build_records(build, graphs: list[Graph]) -> list:
+    """``[build(idx, g) for idx, g in enumerate(graphs, 1)]``, on every CPU
+    in this process's affinity mask, unless another thread runs in it.
+
+    The graphs are split into contiguous ranges in input order, one per job,
+    with about the same number of edges in each.  A forked worker builds
+    each range after the first while this process builds the first, then
+    the results are read in order.  The first failure in input order is
+    raised, as the plain loop would raise it; from then on no worker runs.
+    A worker that dies without a result reads as MemoryError.  Every worker
+    is killed and reaped before this returns or raises.
+    """
+    jobs = 1
+    threads = sys.modules.get("threading")  # a fork copies only the forking thread
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and (
+            threads is None or threads.active_count() == 1):
+        jobs = min(len(os.sched_getaffinity(0)), len(graphs) // MIN_GRAPHS_PER_JOB)
+    if jobs < 2:
+        return [build(idx, g) for idx, g in enumerate(graphs, 1)]
+    import pickle
+    import signal
+
+    # a range takes the graphs that start in its share of the edges (at least one per graph)
+    starts = list(accumulate((max(1, g.edge_count()) for g in graphs), initial=0))
+    cuts = [bisect_left(starts, starts[-1] * k // jobs) for k in range(jobs)] + [len(graphs)]
+    first, *rest = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    workers: list[tuple[int, int]] = []
+    try:
+        for span in rest:
+            workers.append(_fork_worker(build, graphs, span))
+        records = [build(idx + 1, graphs[idx]) for idx in first]
+        while workers:
+            with open(workers[0][1], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if _reap(workers.pop(0)):  # a worker exits 0 only after writing its whole result
+                raise MemoryError
+            part, exc = pickle.loads(data)
+            records += part
+            if exc is not None:
+                raise exc
+        return records
+    finally:
+        for worker in workers:
+            os.kill(worker[0], signal.SIGKILL)
+            _reap(worker)
+
+
+def _reap(worker: tuple[int, int]) -> int:
+    """Close a worker's pipe and wait for it; return its wait status."""
+    pid, fd = worker
+    os.close(fd)
+    return os.waitpid(pid, 0)[1]
+
+
+def _fork_worker(build, graphs: list[Graph], span: range) -> tuple[int, int]:
+    """Fork a worker that builds the records of ``span`` in order, stopping at
+    the first exception, and pickles (records, exception or None) into a pipe;
+    return its pid and the pipe's read end."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        records, exc = [], None
+        try:
+            for idx in span:
+                records.append(build(idx + 1, graphs[idx]))
+        except Exception as error:
+            exc = error
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((records, exc)))
+        code = 0
+    finally:
+        # the worker never returns into the caller, nor flushes its stdout
+        os._exit(code)
 
 
 def _cmd_gen(args) -> int:

@@ -70,7 +70,7 @@ class Graph(namedtuple("Graph", "n adj")):
         return bool(self.adj[u] >> v & 1)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v, in lexicographic order."""
@@ -159,17 +159,24 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Exact uniform integer in [0, bound), by rejection on 64-bit words."""
+        return next(self.draws(bound))
+
+    def draws(self, bound: int) -> Iterator[int]:
+        """Endless below(bound) draws from this stream, each one what a below()
+        call made at that point returns, with the word count and rejection
+        limit computed once."""
         if bound <= 0:
             raise ValueError("bound must be positive")
         words = max(1, (bound.bit_length() + 63) // 64)
         span = 1 << (64 * words)
         limit = span - span % bound
+        next64 = self.next64
         while True:
-            u = 0
-            for _ in range(words):
-                u = (u << 64) | self.next64()
+            u = next64()
+            for _ in range(words - 1):
+                u = (u << 64) | next64()
             if u < limit:
-                return u % bound
+                yield u % bound
 
     def bernoulli(self, p: Fraction) -> bool:
         """Exact Bernoulli(p) draw; consumes one below() call."""
@@ -185,13 +192,16 @@ def random_gnp(n: int, p: Fraction | int, seed: int) -> Graph:
     p = _as_exact(p)
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
-    rng = SplitMix64(seed)
+    draws, num = SplitMix64(seed).draws(p.denominator), p.numerator
     adj = [0] * n
     for u in range(n):
-        for v in range(u + 1, n):
-            if rng.bernoulli(p):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+        bit, row = 1 << u, 0
+        # zip stops at the last pair before it takes a draw for the next row
+        for v, x in zip(range(u + 1, n), draws):
+            if x < num:  # the draw bernoulli(p) makes
+                row |= 1 << v
+                adj[v] |= bit
+        adj[u] |= row
     return _built(n, adj)
 
 

@@ -21,10 +21,10 @@ from math import lcm
 from operator import add, mul
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
-from .cliques import CliqueSet, edge_clique_numbers, enumerate_cliques
+from .cliques import CliqueSet, enumerate_cliques
 from .graphs import Graph, _as_exact, write_graph6
 from .linsolve import solve_linear_system
-from .weights import InvariantViolation, scaled_weights
+from .weights import InvariantViolation, clique_numbers, scaled_weights
 
 STATUS_INTERIOR = "interior-solution"
 STATUS_NO_POSITIVE = "no-positive-solution"
@@ -102,7 +102,7 @@ def _edge_weights(g: Graph, scheme: WeightScheme) -> tuple[int, tuple[tuple[int,
     """
     if scheme.mode == "constant":
         return scheme.c.denominator, tuple((u, v, scheme.c.numerator) for u, v in g.edges())
-    rs = edge_clique_numbers(g.adj)
+    rs = clique_numbers(g)
     scale, table = scaled_weights(rs)
     return scale, tuple((u, v, table[r]) for (u, v), r in zip(g.edges(), rs))
 

@@ -350,11 +350,13 @@ def turan_bound_campaign(n: int, r: int, count: int, seed: int) -> SweepStats:
     base_edges = list(base.edges())
     bound = (1 - Fraction(1, r)) * Fraction(n * n, 2)
     half = Fraction(1, 2)
-    rng = SplitMix64(seed)
+    coins = SplitMix64(seed).draws(half.denominator)
 
     def draws() -> Iterator[Part]:
         for _ in range(count):
-            kept = [e for e in base_edges if rng.bernoulli(half)]
+            # one bernoulli(half) draw per edge; zip takes the edge first, so
+            # no draw is taken past the last edge
+            kept = [e for e, x in zip(base_edges, coins) if x < half.numerator]
             sub = from_edge_list(n, kept)
             if not turan_bound_check(sub, r):
                 raise CorollaryViolation(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
@@ -83,13 +84,21 @@ def scaled_weights(rs: Iterable[int]) -> tuple[int, list[int]]:
     return scale, table
 
 
+@lru_cache(maxsize=1)
+def clique_numbers(g: Graph) -> tuple[int, ...]:
+    """``edge_clique_numbers(g.adj)`` as a tuple, kept for the last graph only:
+    a fuzz draw reads them twice, in weight_report and then in the clique
+    scheme's weight table, and no caller goes back to an earlier graph."""
+    return tuple(edge_clique_numbers(g.adj))
+
+
 def weight_report(g: Graph) -> WeightReport:
     """Edge clique numbers of g and their total weight against n^2/4.
 
     This is where the theorem is checked: a total above the bound raises
     TheoremViolation naming the graph in graph6.
     """
-    rs = tuple(edge_clique_numbers(g.adj))
+    rs = clique_numbers(g)
     scale, table = scaled_weights(rs)
     num, square = sum(map(table.__getitem__, rs)), g.n * g.n
     gap = square * scale - 4 * num  # the slack n^2/4 - num/scale, times 4 * scale

@@ -165,6 +165,38 @@ class TestRandomGnp:
         assert set(draws) <= {0, 1, 2}
         assert all(draws.count(v) > 50 for v in (0, 1, 2))
 
+    # 2^63 + 1 rejects almost half of the words; the last two take two and three words
+    BOUNDS = [1, 2, 3, 7, 2**63 + 1, 2**64, 2**64 + 1, 3 * 2**100 + 1]
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_below_and_draws_match_word_by_word_rejection(self, bound):
+        def reference_below(rng):
+            words = max(1, (bound.bit_length() + 63) // 64)
+            limit = (1 << 64 * words) - (1 << 64 * words) % bound
+            while True:
+                u = 0
+                for _ in range(words):
+                    u = (u << 64) | rng.next64()
+                if u < limit:
+                    return u % bound
+
+        reference, rng = SplitMix64(5), SplitMix64(5)
+        expected = [reference_below(reference) for _ in range(60)]
+        assert [rng.below(bound) for _ in range(30)] == expected[:30]
+        stream = rng.draws(bound)
+        assert [next(stream) for _ in range(30)] == expected[30:]
+        assert rng.next64() == reference.next64()
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 4), Fraction(2, 7),
+                                   Fraction(3, 2**70 + 1), Fraction(2**65 + 3, 2**66 + 7)],
+                             ids=["1/2", "3/4", "2/7", "3/(2^70+1)", "(2^65+3)/(2^66+7)"])
+    @pytest.mark.parametrize("seed", [0, 1, 99, 2**64 + 5])
+    def test_one_bernoulli_draw_per_pair(self, p, seed):
+        n = 23
+        rng = SplitMix64(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.bernoulli(p)]
+        assert random_gnp(n, p, seed) == from_edge_list(n, edges)
+
 
 
 def refused(text: str) -> str:

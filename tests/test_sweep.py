@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import tracemalloc
@@ -23,6 +24,7 @@ from turanweights import (
     write_graph6,
 )
 import turanweights.sweep as sweep_mod
+import turanweights.weights as weights_mod
 from turanweights.cli import main
 
 from conftest import all_graphs, reference_plain, reference_sweep_shard
@@ -372,6 +374,26 @@ class TestFuzzRandom:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             fuzz_random(5, Fraction(1, 2), 0, seed=1)
+
+    @pytest.mark.parametrize("n,cap", [(7, 12), (13, 12)], ids=["with-chain", "above-cap"])
+    def test_one_edge_clique_computation_per_draw(self, monkeypatch, n, cap):
+        # weight_report and the clique scheme's weight table share one result per draw
+        calls = []
+        real = weights_mod.edge_clique_numbers
+        monkeypatch.setattr(weights_mod, "edge_clique_numbers",
+                            lambda adj: calls.append(adj) or real(adj))
+        weights_mod.clique_numbers.cache_clear()
+        stats = fuzz_random(n, Fraction(1, 2), 25, seed=11, lagrangian_cap=cap)
+        assert stats.graphs_checked == len(calls) == 25
+
+    def test_verify_looks_up_each_graph_once(self, capsys):
+        weights_mod.clique_numbers.cache_clear()
+        text = "".join(write_graph6(turan_graph(n, 3)) + "\n" for n in range(3, 9))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stdin", io.StringIO(text))
+            assert main(["verify"]) == 0
+        info = weights_mod.clique_numbers.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 6, 1)
 
 
 class TestTuranBoundCampaign:
