@@ -8,6 +8,7 @@ violations (which always indicate an implementation bug).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -62,7 +63,8 @@ def _parse_mode(text: str) -> WeightScheme:
     raise ValueError(f"invalid mode {text!r}; expected clique or constant:c")
 
 
-def _read_graphs(source: str, input_format: str) -> list[Graph]:
+def _read_input(source: str, input_format: str) -> tuple[str, str]:
+    """The input's text and its format, ``graph6`` or ``edgelist``."""
     if source == "-":
         text = sys.stdin.read()
     else:
@@ -77,31 +79,52 @@ def _read_graphs(source: str, input_format: str) -> list[Graph]:
                 if len(tokens) == 2 and all(t.lstrip("-").isdigit() for t in tokens):
                     fmt = "edgelist"
                 break
-    if fmt == "edgelist":
-        return [parse_edge_list(text)]
+    return text, fmt
+
+
+def _parse(lines: list[str], at: list[int]) -> list[Graph]:
+    """The graphs of the graph6 lines ``lines[i]`` for ``i`` in ``at``; a
+    malformed line's error names its line number."""
     graphs = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for i in at:
         try:
-            graphs.append(parse_graph6(line))
+            graphs.append(parse_graph6(lines[i]))
         except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}") from None
-    if not graphs:
-        raise ValueError("no graphs found in input")
+            raise Graph6Error(f"line {i + 1}: {exc}") from None
     return graphs
+
+
+# graph6 byte -> the number of set bits among the 6 it encodes; a byte outside
+# the range counts none (its line is malformed, and its range's parse says so)
+_SET_BITS = bytes(int.bit_count(b - 63) if 63 <= b <= 126 else 0 for b in range(256))
+
+
+def _graph6_edges(line: str) -> int:
+    """The edge count of a well-formed graph6 line, without building the graph:
+    the set bits of its data characters, the size header excluded."""
+    line = line.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    header = 1 if line[:1] != "~" else 4 if line[1:2] != "~" else 8
+    return sum(line[header:].encode("ascii", "replace").translate(_SET_BITS))
+
+
+class _Text(str):
+    """JSON text that _json writes as it is."""
 
 
 # the writer's scalars, by exact type: library values hold no subclass of them
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: '"{!s}"'.format,
-            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
+            _Text: str.__str__}
 
 
 def _json(value, nl: str = "\n") -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2)`` for library values:
     rationals as p/q strings, records (tuples with ``_fields``) as objects keyed
-    by field name, other tuples and lists as arrays.  ``nl`` is the newline and
-    indent the value starts at; each container's items are joined once."""
+    by field name, other tuples and lists as arrays, and _Text as it is.  ``nl``
+    is the newline and indent the value starts at; each container's items are
+    joined once."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
@@ -135,6 +158,12 @@ def _tsv(*columns) -> str:
     return "\t".join(map(str, columns))
 
 
+def _lines(records: list, render, start: int = 1) -> str:
+    """Each record's human lines or TSV rows, records numbered from ``start``."""
+    return "".join([f"{line}\n" for idx, record in enumerate(records, start)
+                    for line in render(idx, record)])
+
+
 def _render(args, envelope: dict, records: list, human, tsv) -> int:
     """Write the JSON envelope, or each record's human lines or TSV rows, at once.
 
@@ -144,89 +173,138 @@ def _render(args, envelope: dict, records: list, human, tsv) -> int:
     if args.format == "json":
         text = _json(envelope) + "\n"
     else:
-        render = tsv if args.format == "tsv" else human
-        text = "".join([f"{line}\n" for idx, record in enumerate(records, 1)
-                        for line in render(idx, record)])
+        text = _lines(records, tsv if args.format == "tsv" else human)
     sys.stdout.write(text)
     return 0
 
 
+# where each report starts in the JSON envelope's "reports" array
+_REPORT_NL = "\n    "
+
+
 def _per_graph(args, envelope: dict, build, human, tsv) -> int:
-    """Build one record per input graph with ``build(idx, g)``, then render.
+    """Build one record per input graph with ``build(idx, g)`` and write them
+    as _render would, at once.
 
-    Nothing is printed until every record is built, so an error on any graph
-    leaves stdout empty.
+    Each process renders the records of its range of graphs to text, and the
+    JSON reports are spliced into the envelope as that text.  Nothing is
+    printed until every record is built, so an error on any graph leaves
+    stdout empty.
     """
-    graphs = _read_graphs(args.input, args.input_format)
-    envelope["reports"] = _build_records(build, graphs)
-    return _render(args, envelope, envelope["reports"], human, tsv)
+    def render(start: int, graphs: list[Graph]) -> str:
+        records = [build(idx, g) for idx, g in enumerate(graphs, start)]
+        if args.format == "json":
+            return ("," + _REPORT_NL).join([_json(record, _REPORT_NL) for record in records])
+        return _lines(records, tsv if args.format == "tsv" else human, start)
+
+    text, fmt = _read_input(args.input, args.input_format)
+    if fmt == "edgelist":
+        parts = [render(1, [parse_edge_list(text)])]
+    else:
+        parts = _range_texts(render, text.splitlines())
+    if args.format == "json":
+        envelope["reports"] = _Text(f"[{_REPORT_NL}{(',' + _REPORT_NL).join(parts)}\n  ]")
+        text = _json(envelope) + "\n"
+    else:
+        text = "".join(parts)
+    sys.stdout.write(text)
+    return 0
 
 
-# Fewest graphs worth a forked worker: an input of fewer than twice this many
-# is built in one process.  README gives the measurement behind it.
-MIN_GRAPHS_PER_JOB = 256
+_OK, _FAILED = b"\0", b"\1"  # a worker's status bytes
 
 
-def _build_records(build, graphs: list[Graph]) -> list:
-    """``[build(idx, g) for idx, g in enumerate(graphs, 1)]``, on every CPU
-    in this process's affinity mask, unless another thread runs in it.
+def _range_texts(render, lines: list[str]) -> list[str]:
+    """``[render(1, graphs)]`` for the graphs of the non-blank graph6 ``lines``,
+    on every CPU in this process's affinity mask, unless another thread runs
+    in it.
 
-    The graphs are split into contiguous ranges in input order, one per job,
-    with about the same number of edges in each.  A forked worker builds
-    each range after the first while this process builds the first, then
-    the results are read in order.  The first failure in input order is
-    raised, as the plain loop would raise it; from then on no worker runs.
-    A worker that dies without a result reads as MemoryError.  Every worker
-    is killed and reaped before this returns or raises.
+    The graphs are split into contiguous ranges in input order, at most one
+    per CPU, with about the same number of edges in each.  A forked worker parses and
+    renders each range after the first while this process does the first;
+    the texts are read in order.  The first malformed line in input order is
+    raised if there is one, else the first failure in input order, as the
+    one-process run would raise them; from then on no worker runs.  A worker
+    that dies without a result reads as MemoryError.  Every worker is killed
+    and reaped before this returns or raises.
     """
+    at = [i for i, line in enumerate(lines) if line.strip()]
+    if not at:
+        raise ValueError("no graphs found in input")
     jobs = 1
     threads = sys.modules.get("threading")  # a fork copies only the forking thread
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and (
             threads is None or threads.active_count() == 1):
-        jobs = min(len(os.sched_getaffinity(0)), len(graphs) // MIN_GRAPHS_PER_JOB)
+        jobs = min(len(os.sched_getaffinity(0)), len(at))
     if jobs < 2:
-        return [build(idx, g) for idx, g in enumerate(graphs, 1)]
-    import pickle
-    import signal
+        return [render(1, _parse(lines, at))]
 
     # a range takes the graphs that start in its share of the edges (at least one per graph)
-    starts = list(accumulate((max(1, g.edge_count()) for g in graphs), initial=0))
-    cuts = [bisect_left(starts, starts[-1] * k // jobs) for k in range(jobs)] + [len(graphs)]
-    first, *rest = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    starts = list(accumulate((max(1, _graph6_edges(lines[i])) for i in at), initial=0))
+    cuts = [bisect_left(starts, starts[-1] * k // jobs) for k in range(jobs)] + [len(at)]
+    (_, first), *rest = [(lo + 1, at[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    # the objects that exist at the fork stay out of every later collection:
+    # a collection writes to each object it scans, so a worker's would copy
+    # the pages it shares with this process, and this process's last one,
+    # at exit, would fault on every page the fork left write-protected
+    gc.freeze()
     workers: list[tuple[int, int]] = []
     try:
-        for span in rest:
-            workers.append(_fork_worker(build, graphs, span))
-        records = [build(idx + 1, graphs[idx]) for idx in first]
+        for start, span in rest:
+            workers.append(_fork_worker(render, lines, start, span))
+        graphs = _parse(lines, first)
+        try:
+            texts, failure = [render(1, graphs)], None
+        except Exception as exc:
+            texts, failure = [], exc
+        # every range parses before its first graph is built, so a worker's
+        # parse status comes first, and its malformed line beats any failure
+        for k, worker in enumerate(workers):
+            status = os.read(worker[1], 1)
+            if status != _OK:
+                _reply(workers, k, status)  # raises
+        if failure is not None:
+            raise failure
         while workers:
-            with open(workers[0][1], "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if _reap(workers.pop(0)):  # a worker exits 0 only after writing its whole result
-                raise MemoryError
-            part, exc = pickle.loads(data)
-            records += part
-            if exc is not None:
-                raise exc
-        return records
+            texts.append(_reply(workers, 0, os.read(workers[0][1], 1)))
+        return texts
     finally:
-        for worker in workers:
-            os.kill(worker[0], signal.SIGKILL)
-            _reap(worker)
+        if workers:
+            import signal
+
+            for pid, fd in workers:
+                os.kill(pid, signal.SIGKILL)
+                _reap(pid, fd)
 
 
-def _reap(worker: tuple[int, int]) -> int:
+def _reply(workers: list[tuple[int, int]], k: int, status: bytes) -> str:
+    """Read the rest of worker ``k``'s pipe after its ``status`` byte, reap it
+    and drop it from ``workers``; return its text, or raise its exception,
+    or MemoryError if it died before it wrote all of its reply."""
+    pid, fd = workers.pop(k)
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    if _reap(pid, fd) or not status:  # a worker exits 0 only after writing its whole reply
+        raise MemoryError
+    if status == _OK:
+        return data.decode()
+    import pickle
+
+    raise pickle.loads(data)
+
+
+def _reap(pid: int, fd: int) -> int:
     """Close a worker's pipe and wait for it; return its wait status."""
-    pid, fd = worker
     os.close(fd)
     return os.waitpid(pid, 0)[1]
 
 
-def _fork_worker(build, graphs: list[Graph], span: range) -> tuple[int, int]:
-    """Fork a worker that builds the records of ``span`` in order, stopping at
-    the first exception, and pickles (records, exception or None) into a pipe;
-    return its pid and the pipe's read end."""
-    import pickle
-
+def _fork_worker(render, lines: list[str], start: int, span: list[int]) -> tuple[int, int]:
+    """Fork a worker for the graphs on ``lines[i]``, ``i`` in ``span``: it
+    parses them all, and writes _OK, or _FAILED and the pickled parse error,
+    into a pipe; then it renders them, numbered from ``start``, and writes _OK
+    and the text as UTF-8, or _FAILED and the pickled exception it stopped
+    at.  Return its pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -240,18 +318,40 @@ def _fork_worker(build, graphs: list[Graph], span: range) -> tuple[int, int]:
     code = 1
     try:
         os.close(read_fd)
-        records, exc = [], None
-        try:
-            for idx in span:
-                records.append(build(idx + 1, graphs[idx]))
-        except Exception as error:
-            exc = error
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps((records, exc)))
+            try:
+                graphs = _parse(lines, span)
+                pipe.write(_OK)
+                pipe.flush()
+                text = render(start, graphs)
+                pipe.write(_OK)
+                pipe.write(text.encode())
+            except Exception as exc:
+                pipe.write(_FAILED)
+                pipe.write(_pickled(exc))
         code = 0
     finally:
         # the worker never returns into the caller, nor flushes its stdout
         os._exit(code)
+
+
+# the exceptions main reports, in the order of its except clauses
+_REPORTED = (InvariantViolation, ValueError, OSError, MemoryError, OverflowError, RecursionError)
+
+
+def _pickled(exc: Exception) -> bytes:
+    """``exc`` pickled; one that does not pickle and load back is sent as a
+    stand-in with its message, of the first class in _REPORTED that it is an
+    instance of, so main reports it as it would report ``exc`` itself."""
+    import pickle
+
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        kind = next((cls for cls in _REPORTED if isinstance(exc, cls)), Exception)
+        return pickle.dumps(kind(str(exc)))
 
 
 def _cmd_gen(args) -> int:

@@ -703,10 +703,12 @@ class TestWeightTableCache:
         info = _edge_weights.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (1, 1, 3)
 
-    def test_reduce_reads_each_table_three_times(self, tmp_path, capsys):
-        # support_reduce and the two objective_value calls of one record
+    def test_reduce_reads_each_table_three_times(self, tmp_path, capsys, monkeypatch):
+        # support_reduce and the two objective_value calls of one record; on
+        # one CPU, since a forked worker's cache lookups are not this process's
         path = tmp_path / "three.g6"
         path.write_text("".join(write_graph6(g) + "\n" for g in self.GRAPHS))
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
         _edge_weights.cache_clear()
         assert main(["reduce", str(path)]) == 0
         info = _edge_weights.cache_info()

@@ -391,6 +391,8 @@ class TestFuzzRandom:
         text = "".join(write_graph6(turan_graph(n, 3)) + "\n" for n in range(3, 9))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("sys.stdin", io.StringIO(text))
+            # one CPU: a forked worker's cache lookups are not this process's
+            mp.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
             assert main(["verify"]) == 0
         info = weights_mod.clique_numbers.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 6, 1)

@@ -20,10 +20,16 @@ GRAPHS = [complete_graph(4), cycle_graph(5), turan_graph(6, 3)]
 def _trace(tmp_path, traced, graphs_file):
     result, out = tmp_path / f"result{traced}.json", tmp_path / f"out{traced}.txt"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # on one CPU: verify forks workers for a multi-graph input, and the tracer
+    # sees only the spans of the process it runs in
+    one_cpu = None
+    if hasattr(os, "sched_setaffinity"):
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), traced, str(result), str(out),
          "--", "verify", str(graphs_file)],
-        env=env, capture_output=True, text=True)
+        env=env, capture_output=True, text=True, preexec_fn=one_cpu)
     assert proc.returncode == 0, proc.stderr
     return json.loads(result.read_text()), out.read_text()
 
