@@ -239,15 +239,12 @@ def _range_texts(render, lines: list[str]) -> list[str]:
     if jobs < 2:
         return [render(1, _parse(lines, at))]
 
-    # a range takes the graphs that start in its share of the edges (at least one per graph)
+    # a range takes the graphs whose middle edge falls in its share of the
+    # edges (a graph counts at least one); mids holds twice each middle
     starts = list(accumulate((max(1, _graph6_edges(lines[i])) for i in at), initial=0))
-    cuts = [bisect_left(starts, starts[-1] * k // jobs) for k in range(jobs)] + [len(at)]
+    mids = list(map(int.__add__, starts, starts[1:]))
+    cuts = [bisect_left(mids, 2 * starts[-1] * k // jobs) for k in range(jobs)] + [len(at)]
     (_, first), *rest = [(lo + 1, at[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    # the objects that exist at the fork stay out of every later collection:
-    # a collection writes to each object it scans, so a worker's would copy
-    # the pages it shares with this process, and this process's last one,
-    # at exit, would fault on every page the fork left write-protected
-    gc.freeze()
     workers: list[tuple[int, int]] = []
     try:
         for start, span in rest:
@@ -709,5 +706,20 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+def run() -> int:
+    """The process entry point, for ``python -m turanweights`` and the
+    installed ``turanweights`` script: ``main()``, then ``gc.freeze()``.
+
+    Frozen objects stay out of every later collection, the one the
+    interpreter runs at exit included, which would otherwise scan every
+    object still tracked only for the OS to free the memory anyway.
+    ``main`` itself leaves the collector alone, since tests, the benchmark's
+    tracer and library callers run it in their own process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -16,6 +16,7 @@ from .weights import (
     InvariantViolation,
     scaled_weights,
     turan_bound_check,
+    turan_edge_bound,
     weight_report,
 )
 
@@ -348,7 +349,7 @@ def turan_bound_campaign(n: int, r: int, count: int, seed: int) -> SweepStats:
         raise ValueError("count must be >= 1")
     base = turan_graph(n, r)
     base_edges = list(base.edges())
-    bound = (1 - Fraction(1, r)) * Fraction(n * n, 2)
+    bound = turan_edge_bound(n, r)
     half = Fraction(1, 2)
     coins = SplitMix64(seed).draws(half.denominator)
 

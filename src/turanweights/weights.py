@@ -110,8 +110,14 @@ def weight_report(g: Graph) -> WeightReport:
     return report
 
 
+def turan_edge_bound(n: int, r: int) -> Fraction:
+    """(1 - 1/r) n^2/2, Turan's bound on the edges of a K_{r+1}-free graph
+    on n vertices; the Turan graph T(n, r) attains it when r divides n."""
+    return (1 - Fraction(1, r)) * Fraction(n * n, 2)
+
+
 def turan_bound_check(g: Graph, r: int) -> bool:
-    """Edge-count bound e(G) <= (1 - 1/r) n^2/2 for K_{r+1}-free graphs.
+    """Edge-count bound e(G) <= turan_edge_bound(n, r) for K_{r+1}-free graphs.
 
     Precondition (checked): the graph has no clique of size r+1.
     """
@@ -120,4 +126,4 @@ def turan_bound_check(g: Graph, r: int) -> bool:
     omega = max_clique_size(g)
     if omega > r:
         raise ValueError(f"graph contains a clique of size {omega} > {r}")
-    return Fraction(g.edge_count()) <= (1 - Fraction(1, r)) * Fraction(g.n * g.n, 2)
+    return g.edge_count() <= turan_edge_bound(g.n, r)

@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 import turanweights.cli as cli_mod
 from turanweights import (
     TheoremViolation,
+    complete_graph,
     cycle_graph,
     empty_graph,
+    from_edge_list,
     parse_graph6,
     random_gnp,
     turan_graph,
@@ -189,12 +191,23 @@ def test_another_thread_runs_in_one_process(cpus):
     assert forks == [] and not thread.is_alive()
 
 
+# graphs of 68 and 79 edges: the second starts before the middle of the 147,
+# but its own middle edge falls past it, so on two CPUs each is a range
+UNEVEN = "".join(write_graph6(from_edge_list(14, list(complete_graph(14).edges())[:m])) + "\n"
+                 for m in (68, 79))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("count", [1, 2])
-def test_two_graphs_fork_once(cpus, k, count):
+@pytest.mark.parametrize("text", ["A_\n", "A_\nA_\n", UNEVEN], ids=["1", "2", "uneven"])
+def test_two_graphs_fork_once(cpus, k, text):
+    count = text.count("\n")
+    cpus(1)
+    expected = run_cli(["verify", "--format", "tsv"], text)
+    assert expected[0] == 0 and expected[1].count("\n") == count
+    if text.startswith("A_"):
+        assert expected[1] == "".join(f"verify\t{i}\t2\t1\t1\t0\n" for i in range(1, count + 1))
     forks = cpus(k)
-    code, out, _ = run_cli(["verify", "--format", "tsv"], "A_\n" * count)
-    assert code == 0 and out == "".join(f"verify\t{i}\t2\t1\t1\t0\n" for i in range(1, count + 1))
+    assert run_cli(["verify", "--format", "tsv"], text) == expected
     assert len(forks) == min(k, count) - 1
 
 

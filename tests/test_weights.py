@@ -17,7 +17,7 @@ from turanweights import (
 )
 import turanweights.weights as weights_mod
 from turanweights.cliques import edge_clique_numbers
-from turanweights.weights import scaled_weights
+from turanweights.weights import scaled_weights, turan_edge_bound
 
 from conftest import all_graphs
 
@@ -149,6 +149,14 @@ class TestTuranBoundCheck:
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError):
             turan_bound_check(empty_graph(3), 1)
+
+    def test_turan_graph_slack(self):
+        # T(n, r) has the most edges of any K_{r+1}-free graph: slack 0 when
+        # its parts are equal, so a looser bound fails here
+        for n in range(2, 13):
+            for r in range(2, n + 1):
+                slack = turan_edge_bound(n, r) - turan_graph(n, r).edge_count()
+                assert slack == 0 if n % r == 0 else slack > 0, (n, r)
 
     def test_all_small_triangle_free_graphs(self):
         from turanweights import max_clique_size
