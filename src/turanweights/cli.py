@@ -24,6 +24,7 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph6_edges,
     parse_edge_list,
     parse_graph6,
     random_gnp,
@@ -80,33 +81,6 @@ def _read_input(source: str, input_format: str) -> tuple[str, str]:
                     fmt = "edgelist"
                 break
     return text, fmt
-
-
-def _parse(lines: list[str], at: list[int]) -> list[Graph]:
-    """The graphs of the graph6 lines ``lines[i]`` for ``i`` in ``at``; a
-    malformed line's error names its line number."""
-    graphs = []
-    for i in at:
-        try:
-            graphs.append(parse_graph6(lines[i]))
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {i + 1}: {exc}") from None
-    return graphs
-
-
-# graph6 byte -> the number of set bits among the 6 it encodes; a byte outside
-# the range counts none (its line is malformed, and its range's parse says so)
-_SET_BITS = bytes(int.bit_count(b - 63) if 63 <= b <= 126 else 0 for b in range(256))
-
-
-def _graph6_edges(line: str) -> int:
-    """The edge count of a well-formed graph6 line, without building the graph:
-    the set bits of its data characters, the size header excluded."""
-    line = line.strip()
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
-    header = 1 if line[:1] != "~" else 4 if line[1:2] != "~" else 8
-    return sum(line[header:].encode("ascii", "replace").translate(_SET_BITS))
 
 
 class _Text(str):
@@ -211,83 +185,72 @@ def _per_graph(args, envelope: dict, build, human, tsv) -> int:
     return 0
 
 
-_OK, _FAILED = b"\0", b"\1"  # a worker's status bytes
-
-
 def _range_texts(render, lines: list[str]) -> list[str]:
     """``[render(1, graphs)]`` for the graphs of the non-blank graph6 ``lines``,
     on every CPU in this process's affinity mask, unless another thread runs
     in it.
 
-    The graphs are split into contiguous ranges in input order, at most one
-    per CPU, with about the same number of edges in each.  A forked worker parses and
-    renders each range after the first while this process does the first;
-    the texts are read in order.  The first malformed line in input order is
-    raised if there is one, else the first failure in input order, as the
-    one-process run would raise them; from then on no worker runs.  A worker
-    that dies without a result reads as MemoryError.  Every worker is killed
-    and reaped before this returns or raises.
+    Every line is checked, and its edge count read, before any graph is
+    built, so the first malformed line is raised, naming its line number,
+    as the one-process run would raise it, and nothing is forked for it.
+    The graphs are then split into contiguous ranges in input order, at most
+    one per CPU, with about the same number of edges in each.  A forked
+    worker renders each range after the first while this process does the
+    first, and the texts are read in order.  A worker that fails sends
+    nothing and exits 1, and this process renders its range again, which
+    raises the worker's own exception: the first failure in input order is
+    raised, and no later worker runs on.  A worker killed by a signal reads
+    as MemoryError.  Every worker is killed and reaped before this returns
+    or raises.
     """
     at = [i for i, line in enumerate(lines) if line.strip()]
     if not at:
         raise ValueError("no graphs found in input")
+    weights = []
+    for i in at:
+        try:
+            weights.append(max(1, graph6_edges(lines[i])))  # a graph counts at least one
+        except Graph6Error as exc:
+            raise Graph6Error(f"line {i + 1}: {exc}") from None
     jobs = 1
     threads = sys.modules.get("threading")  # a fork copies only the forking thread
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and (
             threads is None or threads.active_count() == 1):
         jobs = min(len(os.sched_getaffinity(0)), len(at))
-    if jobs < 2:
-        return [render(1, _parse(lines, at))]
+
+    def text(start: int, span: list[int]) -> str:
+        return render(start, [parse_graph6(lines[i]) for i in span])
 
     # a range takes the graphs whose middle edge falls in its share of the
-    # edges (a graph counts at least one); mids holds twice each middle
-    starts = list(accumulate((max(1, _graph6_edges(lines[i])) for i in at), initial=0))
+    # edges; mids holds twice each middle
+    starts = list(accumulate(weights, initial=0))
     mids = list(map(int.__add__, starts, starts[1:]))
     cuts = [bisect_left(mids, 2 * starts[-1] * k // jobs) for k in range(jobs)] + [len(at)]
     (_, first), *rest = [(lo + 1, at[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    workers: list[tuple[int, int]] = []
+    workers: list[tuple[int, int, int, list[int]]] = []
     try:
         for start, span in rest:
-            workers.append(_fork_worker(render, lines, start, span))
-        graphs = _parse(lines, first)
-        try:
-            texts, failure = [render(1, graphs)], None
-        except Exception as exc:
-            texts, failure = [], exc
-        # every range parses before its first graph is built, so a worker's
-        # parse status comes first, and its malformed line beats any failure
-        for k, worker in enumerate(workers):
-            status = os.read(worker[1], 1)
-            if status != _OK:
-                _reply(workers, k, status)  # raises
-        if failure is not None:
-            raise failure
+            workers.append((*_fork_worker(text, start, span), start, span))
+        texts = [text(1, first)]
         while workers:
-            texts.append(_reply(workers, 0, os.read(workers[0][1], 1)))
+            pid, fd, start, span = workers[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = _reap(pid, fd)
+            del workers[0]  # only once reaped: until then the finally kills it
+            if os.WIFSIGNALED(status):
+                raise MemoryError
+            # the build is deterministic: a range that failed in its worker
+            # fails here with the same exception
+            texts.append(text(start, span) if status else data.decode())
         return texts
     finally:
         if workers:
             import signal
 
-            for pid, fd in workers:
+            for pid, fd, _, _ in workers:
                 os.kill(pid, signal.SIGKILL)
                 _reap(pid, fd)
-
-
-def _reply(workers: list[tuple[int, int]], k: int, status: bytes) -> str:
-    """Read the rest of worker ``k``'s pipe after its ``status`` byte, reap it
-    and drop it from ``workers``; return its text, or raise its exception,
-    or MemoryError if it died before it wrote all of its reply."""
-    pid, fd = workers.pop(k)
-    with open(fd, "rb", closefd=False) as pipe:
-        data = pipe.read()
-    if _reap(pid, fd) or not status:  # a worker exits 0 only after writing its whole reply
-        raise MemoryError
-    if status == _OK:
-        return data.decode()
-    import pickle
-
-    raise pickle.loads(data)
 
 
 def _reap(pid: int, fd: int) -> int:
@@ -296,12 +259,10 @@ def _reap(pid: int, fd: int) -> int:
     return os.waitpid(pid, 0)[1]
 
 
-def _fork_worker(render, lines: list[str], start: int, span: list[int]) -> tuple[int, int]:
-    """Fork a worker for the graphs on ``lines[i]``, ``i`` in ``span``: it
-    parses them all, and writes _OK, or _FAILED and the pickled parse error,
-    into a pipe; then it renders them, numbered from ``start``, and writes _OK
-    and the text as UTF-8, or _FAILED and the pickled exception it stopped
-    at.  Return its pid and the pipe's read end."""
+def _fork_worker(text, start: int, span: list[int]) -> tuple[int, int]:
+    """Fork a worker that writes ``text(start, span)`` into a pipe as UTF-8
+    and exits 0, or, if that raises, exits 1 having written nothing.
+    Return its pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -315,40 +276,13 @@ def _fork_worker(render, lines: list[str], start: int, span: list[int]) -> tuple
     code = 1
     try:
         os.close(read_fd)
+        data = text(start, span).encode()
         with open(write_fd, "wb") as pipe:
-            try:
-                graphs = _parse(lines, span)
-                pipe.write(_OK)
-                pipe.flush()
-                text = render(start, graphs)
-                pipe.write(_OK)
-                pipe.write(text.encode())
-            except Exception as exc:
-                pipe.write(_FAILED)
-                pipe.write(_pickled(exc))
+            pipe.write(data)
         code = 0
     finally:
         # the worker never returns into the caller, nor flushes its stdout
         os._exit(code)
-
-
-# the exceptions main reports, in the order of its except clauses
-_REPORTED = (InvariantViolation, ValueError, OSError, MemoryError, OverflowError, RecursionError)
-
-
-def _pickled(exc: Exception) -> bytes:
-    """``exc`` pickled; one that does not pickle and load back is sent as a
-    stand-in with its message, of the first class in _REPORTED that it is an
-    instance of, so main reports it as it would report ``exc`` itself."""
-    import pickle
-
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-        return data
-    except Exception:
-        kind = next((cls for cls in _REPORTED if isinstance(exc, cls)), Exception)
-        return pickle.dumps(kind(str(exc)))
 
 
 def _cmd_gen(args) -> int:

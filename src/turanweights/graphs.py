@@ -252,6 +252,36 @@ def _decode_size(text: str) -> tuple[int, int]:
     return n, 8
 
 
+def _graph6_data(text: str) -> tuple[int, str]:
+    """The vertex count and data characters of one graph6 line, after every
+    check the format makes: an optional '>>graph6<<' prefix, the character
+    range, the size header, the data length, and zero padding bits in the
+    last data character."""
+    line = text.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    n, start = _decode_size(line)
+    nbits = n * (n - 1) // 2
+    data = line[start:]
+    need = (nbits + 5) // 6
+    if len(data) != need:
+        raise Graph6Error(f"expected {need} data characters for n={n}, got {len(data)}")
+    # the last character's low -nbits % 6 bits pad the triangle to whole characters
+    if data and (ord(data[-1]) - 63) & ((1 << -nbits % 6) - 1):
+        raise Graph6Error("nonzero padding bits")
+    return n, data
+
+
+# data character -> the number of set bits among the 6 it encodes
+_SET_BITS = bytes(int.bit_count(b - 63) if 63 <= b <= 126 else 0 for b in range(256))
+
+
+def graph6_edges(text: str) -> int:
+    """The edge count of one graph6 line, checked as parse_graph6 checks it,
+    without building the graph: the set bits of its data characters."""
+    return sum(_graph6_data(text)[1].encode().translate(_SET_BITS))
+
+
 # data character -> its 6 bits reversed, as two octal digits: read in reverse
 # character order, the digits spell one integer whose bit k is pair k
 _REVERSED_OCTAL = {63 + v: f"{int(f'{v:06b}'[::-1], 2):02o}" for v in range(64)}
@@ -266,18 +296,9 @@ def parse_graph6(text: str) -> Graph:
     neighbours.  The rows built from the columns are symmetric and loop-free
     by construction, so the graph is not re-checked.
     """
-    line = text.strip()
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
-    n, start = _decode_size(line)
+    n, data = _graph6_data(text)
     nbits = n * (n - 1) // 2
-    data = line[start:]
-    need = (nbits + 5) // 6
-    if len(data) != need:
-        raise Graph6Error(f"expected {need} data characters for n={n}, got {len(data)}")
     stream = int(data[::-1].translate(_REVERSED_OCTAL) or "0", 8)
-    if stream >> nbits:
-        raise Graph6Error("nonzero padding bits")
     # columns are cut from a window of at most 8 * _WINDOW_BYTES + n bits,
     # refilled from the stream's bytes: a shift costs the width it shifts, so
     # shifting the whole stream once per column would cost n times its width

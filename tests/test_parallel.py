@@ -17,11 +17,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import turanweights.cli as cli_mod
 from turanweights import (
+    Graph6Error,
     TheoremViolation,
     complete_graph,
     cycle_graph,
@@ -33,6 +34,7 @@ from turanweights import (
     weight_report,
     write_graph6,
 )
+from turanweights.graphs import graph6_edges
 
 from test_cli import _CountingStdout, run_cli
 
@@ -278,9 +280,9 @@ def _local_error(what, graph):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("error", [_local_error, TwoPartError], ids=["local", "two-part"])
 def test_unpicklable_exception_keeps_its_message(cpus, monkeypatch, error, k):
-    """A worker sends an exception that does not pickle and load back as a
-    ValueError with its message, which main reports as one process reports
-    the original."""
+    """A worker that fails sends nothing, not even its exception, which need
+    not pickle: the parent renders the range again and raises the exception
+    itself, so main reports it as one process does."""
     def report(g):
         if g.n == 9:  # in the last range on every CPU count
             raise error("local failure", write_graph6(g))
@@ -300,8 +302,8 @@ def test_unpicklable_exception_keeps_its_message(cpus, monkeypatch, error, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_malformed_line_beats_a_failing_first_graph(cpus, monkeypatch, k):
     """A malformed line in the last range wins over a TheoremViolation on graph 1,
-    in the parent's range, and no run waits for a worker to build: every
-    worker's build would sleep for a minute."""
+    in the parent's range, and nothing is forked: the lines are checked
+    first, and a worker's build would sleep for a minute."""
     parent = os.getpid()
 
     def report(g):
@@ -319,7 +321,7 @@ def test_malformed_line_beats_a_failing_first_graph(cpus, monkeypatch, k):
     assert time.perf_counter() - start < 30
     assert result == (1, "", "turanweights: usage: line 8: expected 5 data characters "
                              "for n=8, got 3\n")
-    assert len(forks) == k - 1
+    assert forks == []
 
 
 # graph n - 1 on line 2n - 1, with a blank line after each graph
@@ -335,7 +337,7 @@ def test_parse_errors_name_the_input_line(cpus, k, bad):
     assert run_cli(["verify"], "\n".join(lines)) == (
         1, "", f"turanweights: usage: line {2 * bad - 1}: expected 1 data characters "
                "for n=2, got 0\n")
-    assert len(forks) == k - 1
+    assert forks == []
 
 
 def _size_header(n: int, width: int) -> str:
@@ -347,25 +349,58 @@ def _size_header(n: int, width: int) -> str:
 
 
 @given(st.integers(0, 80), st.sampled_from([Fraction(1, 5), Fraction(1, 2), Fraction(7, 8)]),
-       st.integers(0, 2**64 - 1), st.sampled_from([1, 4, 8]), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_text_edge_count_is_the_graphs(n, p, seed, width, prefixed):
+       st.integers(0, 2**64 - 1), st.sampled_from([1, 4, 8]), st.booleans(),
+       st.sampled_from([None, "missing", "extra", "range", "padding", "header", "bare"]))
+@settings(max_examples=300, deadline=None)
+def test_text_edge_count_is_the_graphs(n, p, seed, width, prefixed, corrupt):
+    """The counter reads a well-formed line's edge count, and refuses a
+    corrupted line with parse_graph6's own message."""
     g = random_gnp(n, p, seed)
     line = write_graph6(g)
     if width > 1 or n > 62:
         width = max(width, 4)
         line = _size_header(n, width) + line[1 if n <= 62 else 4:]
+    head, data = line[:width], line[width:]
+    need, pad = len(data), -(n * (n - 1) // 2) % 6
+    if corrupt == "missing":
+        assume(data)
+        line, message = line[:-1], f"expected {need} data characters for n={n}, got {need - 1}"
+    elif corrupt == "extra":
+        line, message = line + "?", f"expected {need} data characters for n={n}, got {need + 1}"
+    elif corrupt == "range":
+        at = seed % (len(line) + 1)
+        line = line[:at] + ">\x7f\x00\u00e9"[seed % 4] + line[at:]
+        message = "character out of graph6 range (63..126)"
+    elif corrupt == "padding":
+        assume(pad)
+        line = line[:-1] + chr(63 + (ord(data[-1]) - 63 | 1 << seed % pad))
+        message = "nonzero padding bits"
+    elif corrupt == "header":
+        assume(width > 1)
+        line, message = head[:1 + seed % (width - 1)], "truncated graph6 size header"
+    elif corrupt == "bare":
+        line, message, prefixed = "", "empty graph6 string", True
     line = (">>graph6<<" if prefixed else "") + line + "\n"
-    assert parse_graph6(line) == g
-    assert cli_mod._graph6_edges(line) == g.edge_count()
+    if corrupt is None:
+        assert parse_graph6(line) == g
+        assert graph6_edges(line) == g.edge_count()
+        return
+    for read in (parse_graph6, graph6_edges):
+        with pytest.raises(Graph6Error) as info:
+            read(line)
+        assert str(info.value) == message
 
 
 def test_forked_success_imports_no_pickle(tmp_path):
-    """Workers send their text, and pickle only an exception: an import of
-    pickle in the parent or in any worker writes to stderr."""
+    """Workers send their text, and nothing when they fail: an import of
+    pickle in the parent or in any worker writes to stderr, on every
+    command's success and on a worker's TheoremViolation or function-local
+    exception."""
     path = tmp_path / "mixed.g6"
     path.write_text(MIXED)
     script = (_CHILD_PRELUDE +
+              "import io\n"
+              "from turanweights import TheoremViolation, weight_report\n"
               "class Spy:\n"
               "    def find_spec(self, name, path=None, target=None):\n"
               "        if name == 'pickle':\n"
@@ -375,15 +410,49 @@ def test_forked_success_imports_no_pickle(tmp_path):
               f"for argv in {list(COMMANDS.values())!r}:\n"
               "    for fmt in ('human', 'tsv', 'json'):\n"
               "        assert cli.main([*argv, sys.argv[1], '--format', fmt]) == 0\n"
+              "def local_error(message):\n"
+              "    class LocalError(ValueError):\n"
+              "        pass\n"
+              "    return LocalError(message)\n"
+              "stderr, sys.stderr = sys.stderr, io.StringIO()\n"
+              "for kind, code in ((TheoremViolation, 2), (local_error, 1)):\n"
+              "    def report(g, kind=kind):\n"
+              "        if g.n == 8:  # in the last range\n"
+              "            raise kind(f'graph on {g.n} vertices')\n"
+              "        return weight_report(g)\n"
+              "    cli.weight_report = report\n"
+              "    assert cli.main(['verify', sys.argv[1]]) == code\n"
+              "errors, sys.stderr = sys.stderr.getvalue(), stderr\n"
+              "assert errors.count('graph on 8 vertices') == 2, errors\n"
               "sys.stdout.flush()\n"
               "sys.stderr.write(f'forks {len(forks)} pickle {\"pickle\" in sys.modules}\\n')\n")
     result = subprocess.run([sys.executable, "-W", "error", "-c", script, str(path)],
                             capture_output=True, text=True, timeout=120)
-    forks = 2 * 3 * len(COMMANDS)  # two workers per call, three formats
+    forks = 2 * (3 * len(COMMANDS) + 2)  # two workers per call: three formats, two failures
     assert (result.returncode, result.stderr) == (0, f"forks {forks} pickle False\n")
     expected = "".join(run_cli([*argv, "--format", fmt], MIXED)[1]
                        for argv in COMMANDS.values() for fmt in ("human", "tsv", "json"))
     assert result.stdout == expected
+
+
+def test_a_failing_range_is_rendered_again_in_the_parent(cpus, monkeypatch):
+    """The cost of the error path: with graph 5 failing on three CPUs, the
+    parent builds its own range, graphs 1-3, then the failed worker's range
+    4-6 up to the failure, and never the last range, 7-9."""
+    parent, built = os.getpid(), []
+
+    def report(g):
+        if os.getpid() == parent:
+            built.append(g.n)
+        if g.n == 5:
+            raise ValueError(f"graph on {g.n} vertices")
+        return weight_report(g)
+
+    monkeypatch.setattr(cli_mod, "weight_report", report)
+    forks = cpus(3)
+    assert run_cli(["verify"], EMPTY) == (1, "", "turanweights: usage: graph on 5 vertices\n")
+    assert len(forks) == 2
+    assert built == [1, 2, 3, 4, 5]
 
 
 def test_closed_stdout_leaves_no_child(tmp_path):
