@@ -132,23 +132,22 @@ def _tsv(*columns) -> str:
     return "\t".join(map(str, columns))
 
 
-def _lines(records: list, render, start: int = 1) -> str:
-    """Each record's human lines or TSV rows, records numbered from ``start``."""
+def _lines(args, records: list, human, tsv, start: int = 1) -> str:
+    """Each record's human lines or TSV rows, as ``args.format`` asks,
+    records numbered from ``start``."""
+    render = tsv if args.format == "tsv" else human
     return "".join([f"{line}\n" for idx, record in enumerate(records, start)
                     for line in render(idx, record)])
 
 
-def _render(args, envelope: dict, records: list, human, tsv) -> int:
-    """Write the JSON envelope, or each record's human lines or TSV rows, at once.
+def _write(args, envelope: dict, texts: list[str]) -> int:
+    """Write the JSON envelope, or the human or TSV ``texts``, in one write:
+    the one write to stdout of every command with ``--format``.
 
-    The renderers read only the record, which is what the envelope carries,
+    The renderers read only the records, which is what the envelope carries,
     so all three formats print the same values.
     """
-    if args.format == "json":
-        text = _json(envelope) + "\n"
-    else:
-        text = _lines(records, tsv if args.format == "tsv" else human)
-    sys.stdout.write(text)
+    sys.stdout.write(_json(envelope) + "\n" if args.format == "json" else "".join(texts))
     return 0
 
 
@@ -156,9 +155,9 @@ def _render(args, envelope: dict, records: list, human, tsv) -> int:
 _REPORT_NL = "\n    "
 
 
-def _per_graph(args, envelope: dict, build, human, tsv) -> int:
+def _per_graph(args, fields: dict, build, human, tsv) -> int:
     """Build one record per input graph with ``build(idx, g)`` and write them
-    as _render would, at once.
+    with _write, in an envelope of the command, ``fields`` and the reports.
 
     Each process renders the records of its range of graphs to text, and the
     JSON reports are spliced into the envelope as that text.  Nothing is
@@ -169,20 +168,17 @@ def _per_graph(args, envelope: dict, build, human, tsv) -> int:
         records = [build(idx, g) for idx, g in enumerate(graphs, start)]
         if args.format == "json":
             return ("," + _REPORT_NL).join([_json(record, _REPORT_NL) for record in records])
-        return _lines(records, tsv if args.format == "tsv" else human, start)
+        return _lines(args, records, human, tsv, start)
 
     text, fmt = _read_input(args.input, args.input_format)
     if fmt == "edgelist":
         parts = [render(1, [parse_edge_list(text)])]
     else:
         parts = _range_texts(render, text.splitlines())
+    envelope = {"command": args.command, **fields}
     if args.format == "json":
         envelope["reports"] = _Text(f"[{_REPORT_NL}{(',' + _REPORT_NL).join(parts)}\n  ]")
-        text = _json(envelope) + "\n"
-    else:
-        text = "".join(parts)
-    sys.stdout.write(text)
-    return 0
+    return _write(args, envelope, parts)
 
 
 def _range_texts(render, lines: list[str]) -> list[str]:
@@ -318,7 +314,7 @@ def _weights_record(idx: int, g: Graph) -> dict:
 
 def _cmd_weights(args) -> int:
     return _per_graph(
-        args, {"command": "weights"}, _weights_record,
+        args, {}, _weights_record,
         lambda idx, rep: [
             f"graph {idx}: n={rep['n']} edges={rep['edge_count']}",
             "  u v r w",
@@ -336,7 +332,7 @@ def _cmd_weights(args) -> int:
 
 def _cmd_verify(args) -> int:
     return _per_graph(
-        args, {"command": "verify"}, lambda idx, g: _summary_record(weight_report(g)),
+        args, {}, lambda idx, g: _summary_record(weight_report(g)),
         lambda idx, rep: [f"graph {idx}: n={rep['n']} slack={rep['slack']} "
                           f"(total {rep['total']}, bound {rep['bound']}) OK"],
         lambda idx, rep: [_tsv("verify", idx, rep["n"], rep["total"], rep["bound"], rep["slack"])])
@@ -352,7 +348,7 @@ def _scheme_dict(scheme: WeightScheme) -> dict:
 def _cmd_lagrangian(args) -> int:
     scheme = _parse_mode(args.mode)
     return _per_graph(
-        args, {"command": "lagrangian", "scheme": _scheme_dict(scheme)},
+        args, {"scheme": _scheme_dict(scheme)},
         lambda idx, g: {"n": g.n, **lagrangian_maximum(g, scheme)._asdict()},
         lambda idx, rep: [
             f"graph {idx}: maximum {rep['maximum']}",
@@ -390,7 +386,7 @@ def _reduce_record(g: Graph, scheme: WeightScheme, start: SimplexPoint) -> dict:
 def _cmd_reduce(args) -> int:
     scheme = _parse_mode(args.mode)
     return _per_graph(
-        args, {"command": "reduce", "scheme": _scheme_dict(scheme)},
+        args, {"scheme": _scheme_dict(scheme)},
         lambda idx, g: _reduce_record(g, scheme, _start_point(args.start, g.n)),
         lambda idx, rep: [
             f"graph {idx}: steps {len(rep['steps'])}",
@@ -409,7 +405,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_oracle(args) -> int:
     scheme = _parse_mode(args.mode)
     return _per_graph(
-        args, {"command": "oracle", "scheme": _scheme_dict(scheme), "resolution": args.grid},
+        args, {"scheme": _scheme_dict(scheme), "resolution": args.grid},
         lambda idx, g: {"n": g.n, "value": grid_oracle(g, scheme, args.grid)},
         lambda idx, rep: [f"graph {idx}: grid maximum {rep['value']} (resolution {args.grid})"],
         lambda idx, rep: [_tsv("oracle", idx, rep["value"])])
@@ -429,14 +425,14 @@ def _campaign(args, params: dict, stats: SweepStats, note: str = "") -> int:
     """Render the one stats record of a sweep, fuzz or campaign run."""
     header = " ".join([args.command, *(f"{k}={v}" for k, v in params.items())]) + note
     envelope = {"command": args.command, "params": params, "stats": stats}
-    return _render(
-        args, envelope, [stats],
+    return _write(args, envelope, [_lines(
+        args, [stats],
         lambda idx, rec: [header,
                           *(f"  {label:<17}{getattr(rec, key)}"
                             for key, label in _STATS_FIELDS.items()),
                           *(f"  tight example    {g6}" for g6 in rec.tight_examples)],
         lambda idx, rec: [_tsv("stats", rec.n, *(getattr(rec, key) for key in _STATS_FIELDS)),
-                          *(_tsv("tight", g6) for g6 in rec.tight_examples)])
+                          *(_tsv("tight", g6) for g6 in rec.tight_examples)])])
 
 
 def _cmd_sweep(args) -> int:
@@ -581,10 +577,10 @@ def _build_parser(parser_class: type[argparse.ArgumentParser]) -> argparse.Argum
     return parser
 
 
-def _emit_error(fmt: str | None, kind: str, error: Exception | str,
+def _emit_error(as_json: bool, kind: str, error: Exception | str,
                 command: str | None = None) -> None:
     """Report an error on stderr, with the shell-quoted command line when one is given."""
-    if fmt == "json":
+    if as_json:
         payload = {"kind": kind, "message": str(error)}
         if command is not None:
             payload["command"] = command
@@ -607,9 +603,8 @@ def main(argv: list[str] | None = None) -> int:
         # into the usage-error code so 2 stays reserved for violations
         return 0 if exc.code == 0 else USAGE_ERROR
     except _UsageError as exc:
-        _emit_error("json", "usage", exc)
+        _emit_error(True, "usage", exc)
         return USAGE_ERROR
-    fmt = getattr(args, "format", None)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -624,19 +619,19 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         import shlex  # only this path needs it; every command's start-up skips it
 
-        _emit_error(fmt, "invariant-violation", exc, shlex.join(["turanweights", *argv]))
+        _emit_error(json_errors, "invariant-violation", exc, shlex.join(["turanweights", *argv]))
         return VIOLATION_ERROR
     except (ValueError, OSError) as exc:
-        _emit_error(fmt, "usage", exc)
+        _emit_error(json_errors, "usage", exc)
         return USAGE_ERROR
     except (MemoryError, OverflowError):
         # an input whose size header, or a count argument, asks for more
         # memory than the host has or than a Python sequence can index
-        _emit_error(fmt, "usage", "input too large to hold in memory")
+        _emit_error(json_errors, "usage", "input too large to hold in memory")
         return USAGE_ERROR
     except RecursionError:
         # the clique searches and the clique walk recurse once per clique vertex
-        _emit_error(fmt, "usage", "graph's cliques are too deep to search")
+        _emit_error(json_errors, "usage", "graph's cliques are too deep to search")
         return USAGE_ERROR
 
 

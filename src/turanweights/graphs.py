@@ -234,22 +234,16 @@ def _decode_size(text: str) -> tuple[int, int]:
         raise Graph6Error("empty graph6 string")
     if min(text) < "?" or max(text) > "~":
         raise Graph6Error("character out of graph6 range (63..126)")
-    vals = [ord(c) - 63 for c in text[:8]]
-    if vals[0] != 63:
-        return vals[0], 1
-    if len(vals) < 2:
-        raise Graph6Error("truncated graph6 size header")
-    if vals[1] != 63:
-        if len(vals) < 4:
-            raise Graph6Error("truncated graph6 size header")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        return n, 4
-    if len(vals) < 8:
+    if text[0] != "~":
+        return ord(text[0]) - 63, 1
+    # "~" then 3 characters, or "~~" then 6
+    head, start = (2, 8) if text[1:2] == "~" else (1, 4)
+    if len(text) < start:
         raise Graph6Error("truncated graph6 size header")
     n = 0
-    for v in vals[2:8]:
-        n = (n << 6) | v
-    return n, 8
+    for c in text[head:start]:
+        n = n << 6 | ord(c) - 63
+    return n, start
 
 
 def _graph6_data(text: str) -> tuple[int, str]:

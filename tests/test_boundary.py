@@ -98,6 +98,9 @@ class TestTrustedDecode:
         ("~~~~~~~~", "expected 393530540221957231958 data characters for n=68719476735, got 0"),
         ("~~", "truncated graph6 size header"),
         ("~?", "truncated graph6 size header"),
+        ("~", "truncated graph6 size header"),
+        ("~~~", "truncated graph6 size header"),
+        ("~~?????", "truncated graph6 size header"),
         ("Aé", "character out of graph6 range (63..126)"),
         ("A\x7f", "character out of graph6 range (63..126)"),
         ("A`", "nonzero padding bits"),

@@ -692,24 +692,44 @@ class _CountingStdout(io.StringIO):
         return super().write(text)
 
 
+# every command that takes --format; the per-graph ones read three graphs
+FORMAT_COMMANDS = {
+    "weights": ["weights"],
+    "verify": ["verify"],
+    "lagrangian": ["lagrangian", "--ledger"],
+    "reduce": ["reduce"],
+    "oracle": ["oracle", "--grid", "3"],
+    "sweep": ["sweep", "--n", "4"],
+    "fuzz": ["fuzz", "--n", "5", "--p", "1/2", "--count", "3", "--seed", "1"],
+    "campaign": ["campaign", "--n", "6", "--r", "3", "--count", "3", "--seed", "1"],
+}
+
+
 class TestOneWrite:
     @pytest.mark.parametrize("fmt", ["human", "tsv", "json"])
-    def test_verify_writes_stdout_once(self, monkeypatch, fmt):
+    @pytest.mark.parametrize("command", sorted(FORMAT_COMMANDS))
+    def test_writes_stdout_once(self, monkeypatch, command, fmt):
         out = _CountingStdout()
         monkeypatch.setattr(sys, "stdin", io.StringIO("A_\nDzC\n" + c5_graph6() + "\n"))
         monkeypatch.setattr(sys, "stdout", out)
-        assert main(["verify", "--format", fmt]) == 0
-        assert out.writes == 1
-        if fmt != "json":
-            assert out.getvalue().count("\n") == 3
+        assert main([*FORMAT_COMMANDS[command], "--format", fmt]) == 0
+        assert out.writes == 1 and out.getvalue()
+        if fmt == "json":
+            assert json.loads(out.getvalue())["command"] == command
 
 
 class TestErrorsAndHelp:
     def test_error_json(self):
-        code, _, err = run_cli(["verify", "--format", "json"], stdin_text="\x21bad\n")
-        assert code == 1
-        payload = json.loads(err)
-        assert payload["error"]["kind"] == "usage"
+        # a malformed line is a runtime error, not a usage error: it is JSON
+        # exactly when argv asks for --format json, however that is spelled
+        message = "line 1: character out of graph6 range (63..126)"
+        for spelling in (["--format", "json"], ["--format=json"], ["--form", "json"],
+                         ["--f", "json"]):
+            code, out, err = run_cli(["verify", *spelling], stdin_text="\x21bad\n")
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {"error": {"kind": "usage", "message": message}}
+        assert run_cli(["verify"], stdin_text="\x21bad\n") == (
+            1, "", f"turanweights: usage: {message}\n")
 
     def test_help_exits_zero(self):
         code, out, _ = run_cli(["--help"])
