@@ -14,6 +14,7 @@ import os
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from importlib import import_module
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
@@ -31,24 +32,40 @@ from .graphs import (
     turan_graph,
     write_graph6,
 )
-from .lagrangian import (
-    SimplexPoint,
-    WeightScheme,
-    grid_oracle,
-    lagrangian_maximum,
-    objective_value,
-    support_reduce,
-)
-from .sweep import (
+from .weights import (
     DEFAULT_LAGRANGIAN_CAP,
     DEFAULT_SWEEP_CAP,
     DEFAULT_TIGHT_CAP,
-    SweepStats,
-    fuzz_random,
-    sweep_all_graphs,
-    turan_bound_campaign,
+    InvariantViolation,
+    WeightReport,
+    weight_report,
 )
-from .weights import InvariantViolation, WeightReport, weight_report
+
+# the names cli reads from the modules that only some commands call, by module:
+# a command that calls one binds its names with _load when it starts, before
+# any fork, and looking one up on cli binds them too
+_DEFERRED = {
+    "lagrangian": ("SimplexPoint", "WeightScheme", "grid_oracle", "lagrangian_maximum",
+                   "objective_value", "support_reduce"),
+    "sweep": ("SweepStats", "fuzz_random", "sweep_all_graphs", "turan_bound_campaign"),
+}
+
+
+def _load(module: str) -> None:
+    """Bind ``module``'s names in _DEFERRED here, keeping any already bound:
+    a caller (the benchmark's tracer, a test) may have replaced one."""
+    loaded = import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 USAGE_ERROR = 1
 VIOLATION_ERROR = 2
@@ -114,8 +131,11 @@ def _json(value, nl: str = "\n") -> str:
     if not items:
         return "{}"
     keys = [encode_basestring_ascii(k) + ": " for k, _ in items]
-    fields = map(str.__add__, keys, _texts([v for _, v in items], inner))
-    return f"{{{inner}{(',' + inner).join(fields)}{nl}}}"
+    # list() frees the values' texts before the join, so that a large value
+    # is held in two copies at most, not three
+    fields = (',' + inner).join(list(map(str.__add__, keys,
+                                         _texts([v for _, v in items], inner))))
+    return f"{{{inner}{fields}{nl}}}"
 
 
 def _texts(values, inner: str) -> list[str]:
@@ -140,19 +160,32 @@ def _lines(args, records: list, human, tsv, start: int = 1) -> str:
                     for line in render(idx, record)])
 
 
+# where each report starts in the JSON envelope's "reports" array
+_REPORT_NL = "\n    "
+# the reports' place in a per-graph command's JSON envelope: _write splices
+# the reports' texts in at the NUL, which _json escapes in every string
+_REPORTS = _Text("\0\n  ]")
+
+
 def _write(args, envelope: dict, texts: list[str]) -> int:
     """Write the JSON envelope, or the human or TSV ``texts``, in one write:
     the one write to stdout of every command with ``--format``.
 
+    Under JSON, ``texts`` go into the envelope where it holds _REPORTS, and
+    an envelope without it ignores them.  The output is joined once from its
+    pieces, and ``texts`` is emptied before the write, so that the output is
+    held in one copy, not several, as it is written.
+
     The renderers read only the records, which is what the envelope carries,
     so all three formats print the same values.
     """
-    sys.stdout.write(_json(envelope) + "\n" if args.format == "json" else "".join(texts))
+    if args.format == "json":
+        head, nul, tail = _json(envelope).partition("\0")
+        texts[:] = [head, *texts, tail, "\n"] if nul else [head, "\n"]
+    out = "".join(texts)
+    texts.clear()
+    sys.stdout.write(out)
     return 0
-
-
-# where each report starts in the JSON envelope's "reports" array
-_REPORT_NL = "\n    "
 
 
 def _per_graph(args, fields: dict, build, human, tsv) -> int:
@@ -167,7 +200,9 @@ def _per_graph(args, fields: dict, build, human, tsv) -> int:
     def render(start: int, graphs: list[Graph]) -> str:
         records = [build(idx, g) for idx, g in enumerate(graphs, start)]
         if args.format == "json":
-            return ("," + _REPORT_NL).join([_json(record, _REPORT_NL) for record in records])
+            # each report with the "[" or the "," before it in the array
+            return "".join([f"{',' if idx > 1 else '['}{_REPORT_NL}{_json(record, _REPORT_NL)}"
+                            for idx, record in enumerate(records, start)])
         return _lines(args, records, human, tsv, start)
 
     text, fmt = _read_input(args.input, args.input_format)
@@ -175,10 +210,7 @@ def _per_graph(args, fields: dict, build, human, tsv) -> int:
         parts = [render(1, [parse_edge_list(text)])]
     else:
         parts = _range_texts(render, text.splitlines())
-    envelope = {"command": args.command, **fields}
-    if args.format == "json":
-        envelope["reports"] = _Text(f"[{_REPORT_NL}{(',' + _REPORT_NL).join(parts)}\n  ]")
-    return _write(args, envelope, parts)
+    return _write(args, {"command": args.command, **fields, "reports": _REPORTS}, parts)
 
 
 def _range_texts(render, lines: list[str]) -> list[str]:
@@ -346,6 +378,7 @@ def _scheme_dict(scheme: WeightScheme) -> dict:
 
 
 def _cmd_lagrangian(args) -> int:
+    _load("lagrangian")
     scheme = _parse_mode(args.mode)
     return _per_graph(
         args, {"scheme": _scheme_dict(scheme)},
@@ -384,6 +417,7 @@ def _reduce_record(g: Graph, scheme: WeightScheme, start: SimplexPoint) -> dict:
 
 
 def _cmd_reduce(args) -> int:
+    _load("lagrangian")
     scheme = _parse_mode(args.mode)
     return _per_graph(
         args, {"scheme": _scheme_dict(scheme)},
@@ -403,6 +437,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _load("lagrangian")
     scheme = _parse_mode(args.mode)
     return _per_graph(
         args, {"scheme": _scheme_dict(scheme), "resolution": args.grid},
@@ -436,6 +471,7 @@ def _campaign(args, params: dict, stats: SweepStats, note: str = "") -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _load("sweep")
     if args.jobs < 1:
         raise ValueError(f"job count must be >= 1, got {args.jobs}")
     stats = sweep_all_graphs(args.n, cap=args.cap, tight_cap=args.tight_cap)
@@ -443,6 +479,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    _load("sweep")
     p = _as_exact(args.p)
     stats = fuzz_random(args.n, p, args.count, args.seed, lagrangian_cap=args.lagrangian_cap)
     params = {"n": args.n, "p": p, "count": args.count, "seed": args.seed}
@@ -450,6 +487,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    _load("sweep")
     stats = turan_bound_campaign(args.n, args.r, args.count, args.seed)
     params = {"n": args.n, "r": args.r, "count": args.count, "seed": args.seed}
     return _campaign(args, params, stats)

@@ -128,5 +128,14 @@ def enumerate_cliques(g: Graph) -> Iterator[CliqueSet]:
     vertex, so each clique is formed (and emitted) exactly once.  The parent
     of a clique of size k, the clique without its last vertex, is the latest
     clique of size k - 1 before it.
+
+    The top level runs over the vertices themselves, each starting from its
+    neighbours above it: peeling the set of all n vertices one bit at a
+    time, as the levels below do, would cost O(n^2/64) word operations on
+    the singletons alone.
     """
-    return _cliques(g.adj, (1 << g.n) - 1, ())
+    adj = g.adj
+    for v in range(g.n):
+        cur = tuple.__new__(CliqueSet, (v,))
+        yield cur
+        yield from _cliques(adj, adj[v] >> (v + 1) << (v + 1), cur)

@@ -10,8 +10,10 @@ from itertools import islice
 
 from .graphs import (Graph, SplitMix64, _built, from_edge_list, random_gnp, turan_graph,
                      write_graph6)
-from .lagrangian import WeightScheme, lagrangian_maximum
 from .weights import (
+    DEFAULT_LAGRANGIAN_CAP,
+    DEFAULT_SWEEP_CAP,
+    DEFAULT_TIGHT_CAP,
     CorollaryViolation,
     InvariantViolation,
     scaled_weights,
@@ -20,9 +22,6 @@ from .weights import (
     weight_report,
 )
 
-DEFAULT_SWEEP_CAP = 7
-DEFAULT_TIGHT_CAP = 10
-DEFAULT_LAGRANGIAN_CAP = 12
 # n = 10 would need an orbit table of 2^36 labels on the graphs on 9 vertices
 SWEEP_MAX_N = 9
 # an unlabeled mask in array("H") orbit labels; k = 8 has 12,346 classes
@@ -323,12 +322,15 @@ def fuzz_random(n: int, p: Fraction | int, count: int, seed: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     master = SplitMix64(seed)
+    chain = n <= lagrangian_cap
+    if chain:  # only the chain check calls lagrangian, so only it compiles the module
+        from .lagrangian import WeightScheme, lagrangian_maximum
 
     def draws() -> Iterator[Part]:
         for _ in range(count):
             g = random_gnp(n, p, master.next64())
             report = weight_report(g)
-            if n <= lagrangian_cap:
+            if chain:
                 lagrangian_maximum(g, WeightScheme.clique_weighted())
             yield 1, int(report.tight), report.total, [g] if report.tight else []
 

@@ -18,6 +18,13 @@ from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wra
 from .cliques import edge_clique_numbers, max_clique_size
 from .graphs import Graph, write_graph6
 
+# The campaigns' default caps: sweep's n and tight examples, and the largest
+# n at which fuzz also checks the simplex-maximum chain.  They live here, not
+# in sweep, so that every command's parser reads them without compiling sweep.
+DEFAULT_SWEEP_CAP = 7
+DEFAULT_TIGHT_CAP = 10
+DEFAULT_LAGRANGIAN_CAP = 12
+
 
 class InvariantViolation(Exception):
     """A proven mathematical invariant failed; always an implementation bug."""

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,8 +47,8 @@ def run_cli(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_measured(tmp_path, command, stdin_text):
-    """Run ``turanweights command`` in a child process on stdin_text; return
+def run_cli_measured(tmp_path, argv, stdin_text):
+    """Run ``turanweights argv...`` in a child process on stdin_text; return
     (exit code, stdout, stderr, peak RSS in kB).
 
     A small launcher starts the CLI and reads its peak RSS with wait4,
@@ -58,13 +59,13 @@ def run_cli_measured(tmp_path, command, stdin_text):
     paths[0].write_text(stdin_text)
     launcher = (
         "import os, subprocess, sys\n"
-        "with open(sys.argv[2]) as src, open(sys.argv[3], 'w') as out, "
-        "open(sys.argv[4], 'w') as err:\n"
-        "    child = subprocess.Popen([sys.executable, '-m', 'turanweights', sys.argv[1]],\n"
+        "with open(sys.argv[1]) as src, open(sys.argv[2], 'w') as out, "
+        "open(sys.argv[3], 'w') as err:\n"
+        "    child = subprocess.Popen([sys.executable, '-m', 'turanweights', *sys.argv[4:]],\n"
         "                             stdin=src, stdout=out, stderr=err)\n"
         "    _, status, usage = os.wait4(child.pid, 0)\n"
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
-    result = subprocess.run([sys.executable, "-c", launcher, command, *map(str, paths)],
+    result = subprocess.run([sys.executable, "-c", launcher, *map(str, paths), *argv],
                             capture_output=True, text=True, timeout=60, check=True)
     code, peak_kb = map(int, result.stdout.split())  # ru_maxrss is in kB on Linux
     return code, paths[1].read_text(), paths[2].read_text(), peak_kb
@@ -457,7 +458,7 @@ class TestInputHandling:
     def test_sparse_lagrangian_builds_no_square_matrix(self, tmp_path):
         # 4000 vertices with one edge: a zero row per isolated vertex would
         # hold 16 million list slots, about 128 MB
-        code, out, _, peak_kb = run_cli_measured(tmp_path, "lagrangian", "4000 1\n0 1\n")
+        code, out, _, peak_kb = run_cli_measured(tmp_path, ["lagrangian"], "4000 1\n0 1\n")
         lines = out.splitlines()
         assert code == 0
         assert lines[:2] == ["graph 1: maximum 1/4", "  support 0,1"]
@@ -466,7 +467,7 @@ class TestInputHandling:
 
     def test_edge_list_header_refused_before_allocating(self, tmp_path):
         # one vertex over the limit; accepting it would cost about 94 MB
-        code, out, err, peak_kb = run_cli_measured(tmp_path, "verify", "5000001 0\n")
+        code, out, err, peak_kb = run_cli_measured(tmp_path, ["verify"], "5000001 0\n")
         assert (code, out) == (1, "")
         assert err == "turanweights: usage: input too large to hold in memory\n"
         assert peak_kb < 40 * 1024
@@ -478,6 +479,31 @@ class TestInputHandling:
                                 timeout=60)
         assert (result.returncode, result.stderr) == (0, "")
         assert "n=1000000 slack=250000000000" in result.stdout
+
+    def test_million_vertex_edgeless_lagrangian_refused_in_seconds(self):
+        # the enumeration's top level loops over the vertices: peeling them one
+        # bit at a time off the set of all 10^6 took about 24 s to reach the cap
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "turanweights", "lagrangian"],
+                                input="1000000 0\n", capture_output=True, text=True,
+                                timeout=60)
+        wall = time.perf_counter() - start
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "turanweights: usage: candidate cliques exceed the cap of 250000\n"
+        assert wall < 5
+
+    def test_json_output_held_in_two_copies(self, tmp_path):
+        # 1000 vertices and one edge: 998 reduction steps, each with its
+        # 1000-coordinate point, about 19.6 MB of JSON.  Beyond human output's
+        # peak, the output is held as its joined text and, as it is written,
+        # its encoded bytes; holding the reports' texts, the spliced array and
+        # the envelope's text at once took 4 copies or more
+        text = "1000 1\n0 1\n"
+        code, out, _, json_kb = run_cli_measured(tmp_path, ["reduce", "--format", "json"], text)
+        assert code == 0 and len(json.loads(out)["reports"][0]["steps"]) == 998
+        code, _, _, human_kb = run_cli_measured(tmp_path, ["reduce"], text)
+        assert code == 0
+        assert (json_kb - human_kb) * 1024 < 2.5 * len(out)
 
     def test_oversized_edge_list_header(self):
         code, out, err = run_cli(["verify"], stdin_text="1000000000000000 0\n")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ from turanweights import (
     from_edge_list,
     graph_from_mask,
     max_clique_size,
+    parse_graph6,
 )
 import turanweights.cliques as cliques_mod
 from turanweights.cliques import POPCOUNT_MAX, _clique_number, _expand, edge_clique_numbers
@@ -167,6 +169,27 @@ class TestEnumerateCliques:
         for g in [cycle_graph(6), complete_graph(5)]:
             seqs = [tuple(c) for c in enumerate_cliques(g)]
             assert seqs == sorted(seqs)
+
+    def test_same_cliques_in_the_same_order_as_the_full_set_recursion(self, monkeypatch,
+                                                                       tmp_path):
+        # the top level loops over the vertices; the recursion below it, run
+        # on the set of all n vertices, is the reference
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        import workloads
+
+        workloads.lagrangian_plan(tmp_path, 0)
+        graphs = [parse_graph6(line)
+                  for line in (tmp_path / "lagrangian.g6").read_text().splitlines()]
+        assert [g.n for g in graphs] == list(workloads.LAG_NS)
+        graphs += [random_gnp(n, p, seed) for n in (0, 1, 2, 7, 13, 30)
+                   for p in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3))
+                   for seed in range(3)]
+        graphs.append(complete_graph(12))
+        for g in graphs:
+            got = list(enumerate_cliques(g))
+            assert got == list(cliques_mod._cliques(g.adj, (1 << g.n) - 1, ()))
+            assert all(type(c) is CliqueSet for c in got)
 
     def test_matches_brute_force_and_subset_closed(self):
         for n in range(7):
