@@ -32,6 +32,8 @@ STATUS_SINGULAR = "singular-skipped"
 
 DEFAULT_CANDIDATE_CAP = 250_000
 GRID_POINT_CAP = 5_000_000
+# support_reduce's trace holds steps * n point coordinates; 1,998 steps on 2,000 vertices fit
+REDUCE_COORDINATE_CAP = 4_000_000
 
 
 class WeightScheme(namedtuple("WeightScheme", "mode c")):
@@ -85,11 +87,8 @@ class SimplexPoint(tuple):
         return tuple.__new__(SimplexPoint, (Fraction(1, n),) * n)
 
     def support_mask(self) -> int:
-        m = 0
-        for i, c in enumerate(self):
-            if c > 0:
-                m |= 1 << i
-        return m
+        # one binary string, read once: ORing each 1 << i into the mask is quadratic in n
+        return int("0" + "".join(["1" if c else "0" for c in reversed(self)]), 2)
 
 
 @lru_cache(maxsize=1)
@@ -189,6 +188,8 @@ def support_reduce(g: Graph, scheme: WeightScheme,
     recomputes f from scratch, so the recorded before/after values are honest
     evaluations rather than applications of the shift identity; a step whose
     f decreases contradicts that identity and raises InvariantViolation.
+    A step that would take the trace past REDUCE_COORDINATE_CAP point
+    coordinates raises ValueError before it is taken.
     """
     den, xs = _scaled_point(g, x)
     scale, edges = _edge_weights(g, scheme)
@@ -204,6 +205,9 @@ def support_reduce(g: Graph, scheme: WeightScheme,
         pair = _first_nonadjacent_positive_pair(g.adj, pos)
         if pair is None:
             break
+        if (len(steps) + 1) * g.n > REDUCE_COORDINATE_CAP:
+            raise ValueError(f"support reduction on {g.n} vertices exceeds the cap of "
+                             f"{REDUCE_COORDINATE_CAP} point coordinates at step {len(steps) + 1}")
         a, b = pair
         s_a = _side(mat, xs, a)
         s_b = _side(mat, xs, b)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -22,10 +21,8 @@ from .weights import (
     weight_report,
 )
 
-# n = 10 would need an orbit table of 2^36 labels on the graphs on 9 vertices
+# n = 10 would need 2^36 seen flags (64 GB), one per graph on 9 vertices
 SWEEP_MAX_N = 9
-# an unlabeled mask in array("H") orbit labels; k = 8 has 12,346 classes
-_UNLABELED = 0xFFFF
 
 
 class SweepStats(namedtuple("SweepStats", "n graphs_checked violations min_slack tight_count "
@@ -85,17 +82,6 @@ def _clique_table(adj: list[int]) -> list[int]:
     return om
 
 
-class Orbits(namedtuple("Orbits", "labels reps sizes")):
-    """The isomorphism classes of the graphs on k vertices, as masks over mask_pairs(k).
-
-    ``labels[mask]`` (an array) is the index of the mask's class.  Classes are
-    numbered by their least member, ascending: class c has least member
-    ``reps[c]`` and ``sizes[c]`` members (lists of ints).
-    """
-
-    __slots__ = ()
-
-
 def _bit_table(images: list[int]) -> list[int]:
     """t[x] = OR of images[b] over the set bits b of x, for every x < 2^len(images)."""
     t = [0] * (1 << len(images))
@@ -123,15 +109,17 @@ def _plain_changes(k: int) -> list[int]:
     return out
 
 
-def orbit_table(k: int) -> Orbits:
-    """Label every graph on k vertices with its isomorphism class.
+def classes(k: int) -> Iterator[list[int]]:
+    """The isomorphism classes of the graphs on k vertices, as lists of masks
+    over mask_pairs(k), each list led by its least member, in ascending order
+    of least member.
 
-    Masks are taken in ascending order, and each one not yet labeled is the
+    Masks are taken in ascending order, and each one not yet seen is the
     least member of a new class.  The class is closed by walking the k!
     relabelings of that mask one adjacent transposition at a time, in
     plain-changes order; each transposition is a bit permutation of the mask,
-    applied as two table lookups (low and high half of the bits).  The
-    labels are 16-bit: 64 KB at k = 6, 4 MB at k = 7, 512 MB at k = 8.
+    applied as two table lookups (low and high half of the bits).  The seen
+    flags take one byte per mask: 32 KB at k = 6, 2 MB at k = 7, 256 MB at k = 8.
     """
     pairs = mask_pairs(k)
     index = {p: b for b, p in enumerate(pairs)}
@@ -143,24 +131,19 @@ def orbit_table(k: int) -> Orbits:
         images = [1 << index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
         swaps.append((_bit_table(images[:half]), _bit_table(images[half:])))
     walk = [swaps[i] for i in _plain_changes(k)]
-    labels = array("H", [_UNLABELED]) * (1 << len(pairs))
-    reps: list[int] = []
-    sizes: list[int] = []
-    for rep in range(len(labels)):
-        if labels[rep] != _UNLABELED:
-            continue
-        c = len(reps)
-        labels[rep] = c
-        members = 1
+    seen = bytearray(1 << len(pairs))
+    rep = 0
+    while rep >= 0:
+        seen[rep] = 1
+        members = [rep]
         x = rep
         for lo, hi in walk:
             x = lo[x & low] | hi[x >> half]
-            if labels[x] == _UNLABELED:
-                labels[x] = c
-                members += 1
-        reps.append(rep)
-        sizes.append(members)
-    return Orbits(labels, reps, sizes)
+            if not seen[x]:
+                seen[x] = 1
+                members.append(x)
+        yield members
+        rep = seen.find(0, rep + 1)
 
 
 class _Blocks:
@@ -233,12 +216,12 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
     Relabeling the graph H on vertices 1..n-1 relabels vertex 0's
     neighbourhood with it, so the blocks of isomorphic H hold the same
     totals.  The sweep checks one block per class of H, the block of the
-    class's least member, in class order, and counts its tight graphs once
-    per member.  The first violating mask is in the block of the least
-    violating class's least member, which that block's check returns.  The
-    tight graphs are a lazy stream: each tight class's members, found in
-    ascending order by array.index on the labels, merged across classes,
-    each block rechecked; _tally reads only as far as the tight-example cap.
+    class's least member, as classes() closes the class, and counts its
+    tight graphs once per member.  The first violating mask is in the block
+    of the least violating class's least member, which that block's check
+    returns.  The tight graphs are a lazy stream: the members of the tight
+    classes, collected during the walk and sorted once, each block
+    rechecked; _tally reads only as far as the tight-example cap.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the sweep cap of {cap}")
@@ -251,35 +234,25 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
             f"n={n} exceeds {SWEEP_MAX_N}, the largest n the labeled sweep runs: its orbit "
             f"table would hold 2^{(n - 1) * (n - 2) // 2} labels; larger n needs a sweep "
             f"over isomorphism classes")
-    orbits = orbit_table(max(n - 1, 0))
     blocks = _Blocks(n)
-    tights: list[int] = []
-    max_total = 0
-    for high in orbits.reps:
-        class_tight, class_max, _, violation = blocks.check(high)
+    checked = tight = max_total = 0
+    tight_highs: list[int] = []
+    for members in classes(blocks.k):
+        class_tight, class_max, _, violation = blocks.check(members[0])
         if violation is not None:
             # weight_report raises when the rational path sees the violation too
             g = graph_from_mask(n, violation)
             weight_report(g)
             raise InvariantViolation(
                 f"sweep total disagrees with weight_report on graph {write_graph6(g)}")
-        tights.append(class_tight)
+        checked += len(members)
+        if class_tight:
+            tight += class_tight * len(members)
+            tight_highs += members
         max_total = max(max_total, class_max)
-
-    tight = sum(t * size for t, size in zip(tights, orbits.sizes))
-    from heapq import merge  # only the sweep needs it; every command's start-up skips it
-
-    def members(c: int) -> Iterator[int]:
-        # sizes[c] scans: none searches on from a class's last member to the table's end
-        high = orbits.reps[c] - 1
-        for _ in range(orbits.sizes[c]):
-            high = orbits.labels.index(c, high + 1)
-            yield high
-
-    tight_graphs = (graph_from_mask(n, m)
-                    for high in merge(*[members(c) for c, t in enumerate(tights) if t])
-                    for m in blocks.check(high)[2])
-    part = (sum(orbits.sizes) << blocks.k, tight, Fraction(max_total, blocks.scale), tight_graphs)
+    tight_highs.sort()
+    tight_graphs = (graph_from_mask(n, m) for high in tight_highs for m in blocks.check(high)[2])
+    part = (checked << blocks.k, tight, Fraction(max_total, blocks.scale), tight_graphs)
     return _tally(n, Fraction(n * n, 4), [part], tight_cap)
 
 

@@ -492,6 +492,30 @@ class TestInputHandling:
         assert result.stderr == "turanweights: usage: candidate cliques exceed the cap of 250000\n"
         assert wall < 5
 
+    @pytest.mark.parametrize("n, step, bound", [(4000, 1001, 5), (5000000, 1, 20)])
+    def test_sparse_reduce_refused_at_the_trace_cap(self, n, step, bound):
+        # one edge, uniform start: about n steps, each holding an n-coordinate
+        # point.  At 4000 vertices that took 1.3 s and 141 MB (14 s and 1.5 GB
+        # as JSON); at 5,000,000 the support mask alone, ORed one bit at a
+        # time, took about 160 s before the first step
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "turanweights", "reduce"],
+                                input=f"{n} 1\n0 1\n", capture_output=True, text=True,
+                                timeout=60)
+        wall = time.perf_counter() - start
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (f"turanweights: usage: support reduction on {n} vertices "
+                                 f"exceeds the cap of 4000000 point coordinates at step {step}\n")
+        assert wall < bound
+
+    def test_sparse_reduce_under_the_trace_cap_runs(self):
+        # 1,998 steps on 2,000 vertices: 3,996,000 coordinates, under the cap
+        result = subprocess.run([sys.executable, "-m", "turanweights", "reduce"],
+                                input="2000 1\n0 1\n", capture_output=True, text=True,
+                                timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("graph 1: steps 1998\n")
+
     def test_json_output_held_in_two_copies(self, tmp_path):
         # 1000 vertices and one edge: 998 reduction steps, each with its
         # 1000-coordinate point, about 19.6 MB of JSON.  Beyond human output's

@@ -197,6 +197,12 @@ class TestSimplexPoint:
         x = SimplexPoint((Fraction(1, 2), Fraction(0), Fraction(1, 2)))
         assert x.support_mask() == 0b101
 
+    @pytest.mark.parametrize("coords", [(), (1,), (0, 1), (1, 0), (0, 0, 1, 0),
+                                        (Fraction(1, 4), 0, 0, Fraction(3, 4), 0)])
+    def test_support_matches_bitwise_or(self, coords):
+        x = SimplexPoint(coords)
+        assert x.support_mask() == sum(1 << i for i, c in enumerate(x) if c > 0)
+
     def test_integer_coercion(self):
         assert tuple(SimplexPoint((1, 0))) == (Fraction(1), Fraction(0))
 
@@ -272,6 +278,19 @@ class TestSupportReduce:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             support_reduce(p3(), CLIQUE, SimplexPoint.uniform(4))
+
+    def test_trace_cap_counts_the_steps_taken(self, monkeypatch):
+        # steps * n coordinates: the edgeless 3-vertex graph takes 2 steps, 6 coordinates
+        monkeypatch.setattr(lagrangian_mod, "REDUCE_COORDINATE_CAP", 6)
+        assert len(support_reduce(empty_graph(3), CLIQUE, SimplexPoint.uniform(3))[1]) == 2
+        monkeypatch.setattr(lagrangian_mod, "REDUCE_COORDINATE_CAP", 5)
+        with pytest.raises(ValueError, match="^support reduction on 3 vertices exceeds the cap "
+                                             "of 5 point coordinates at step 2$"):
+            support_reduce(empty_graph(3), CLIQUE, SimplexPoint.uniform(3))
+        # a start whose support is already a clique takes no step, so no cap refuses it
+        monkeypatch.setattr(lagrangian_mod, "REDUCE_COORDINATE_CAP", 0)
+        final, trace = support_reduce(complete_graph(3), CLIQUE, SimplexPoint.uniform(3))
+        assert final == SimplexPoint.uniform(3) and trace == ()
 
     @given(graphs_strategy(6).flatmap(
         lambda g: st.tuples(st.just(g), points_strategy(g.n))),

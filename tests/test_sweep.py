@@ -32,15 +32,12 @@ from conftest import all_graphs, reference_plain, reference_sweep_shard
 
 @cache
 def n8_tight_masks():
-    """Every tight mask on 8 vertices, ascending: each block whose graph H on
-    vertices 1..7 lies in a class whose least member's block has a tight graph."""
-    orbits = sweep_mod.orbit_table(7)
+    """Every tight mask on 8 vertices, ascending: the tight masks of each block
+    whose graph H on vertices 1..7 lies in a class whose least member's block
+    has a tight graph."""
     blocks = sweep_mod._Blocks(8)
-    tight_classes = {c for c, rep in enumerate(orbits.reps) if blocks.check(rep)[0]}
-    masks = []
-    for high, c in enumerate(orbits.labels):
-        if c in tight_classes:
-            masks += blocks.check(high)[2]
+    masks = sorted(m for members in sweep_mod.classes(7) if blocks.check(members[0])[0]
+                   for high in members for m in blocks.check(high)[2])
     assert len(masks) == 141
     return masks
 
@@ -123,10 +120,10 @@ class TestSweepAllGraphs:
 
     @pytest.mark.parametrize("n", [10, 11, 10**6])
     def test_past_max_n_refused_before_allocating(self, monkeypatch, n):
-        def no_table(k):
-            raise AssertionError("orbit table built")
+        def no_classes(k):
+            raise AssertionError("classes generated")
 
-        monkeypatch.setattr(sweep_mod, "orbit_table", no_table)
+        monkeypatch.setattr(sweep_mod, "classes", no_classes)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"^n={n} exceeds 9, the largest n the labeled "
@@ -136,6 +133,23 @@ class TestSweepAllGraphs:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("n, tight_cap", [(7, 0), (8, 1), (8, 10), (8, 141)])
+    def test_blocks_checked_once_per_class_then_up_to_the_cap(self, monkeypatch, n, tight_cap):
+        # one check per class as the class closes; then _tally's reads recheck
+        # the blocks of the first tight_cap examples, in order, and no block past them
+        highs = []
+        real = sweep_mod._Blocks.check
+        monkeypatch.setattr(sweep_mod._Blocks, "check",
+                            lambda self, high: highs.append(high) or real(self, high))
+        stats = sweep_all_graphs(n, cap=n, tight_cap=tight_cap)
+        examples = n8_tight_masks()[:tight_cap] if n == 8 else []
+        rechecked = sorted({m >> (n - 1) for m in examples})
+        class_count = A000088[n - 1]  # 156 at n = 7
+        assert len(highs) == class_count + len(rechecked)
+        assert highs[:class_count] == sorted(set(highs[:class_count]))
+        assert highs[class_count:] == rechecked
+        assert len(stats.tight_examples) == len(examples)
 
     def test_tight_cap_limits_examples(self):
         stats = sweep_all_graphs(4, tight_cap=2)
@@ -248,35 +262,40 @@ A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
 
 
 class TestOrbitTable:
-    @pytest.mark.parametrize("k", range(7))
+    """The classes of the graphs on k vertices, as classes(k) yields them."""
+
+    @pytest.mark.parametrize("k", range(8))
     def test_class_counts(self, k):
-        assert len(sweep_mod.orbit_table(k).reps) == A000088[k]
+        assert sum(1 for _ in sweep_mod.classes(k)) == A000088[k]
 
     @pytest.mark.parametrize("k", range(7))
     def test_orbit_sizes(self, k):
-        orbits = sweep_mod.orbit_table(k)
-        assert sum(orbits.sizes) == 1 << (k * (k - 1) // 2) == len(orbits.labels)
-        assert all(factorial(k) % size == 0 for size in orbits.sizes)
-        for c, size in enumerate(orbits.sizes):
-            assert orbits.labels.count(c) == size
+        sizes = [len(members) for members in sweep_mod.classes(k)]
+        assert sum(sizes) == 1 << (k * (k - 1) // 2)
+        assert all(factorial(k) % size == 0 for size in sizes)
+        # every mask in exactly one class
+        every = sorted(m for members in sweep_mod.classes(k) for m in members)
+        assert every == list(range(1 << (k * (k - 1) // 2)))
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_labels_invariant_under_relabeling(self, k):
-        orbits = sweep_mod.orbit_table(k)
+        labels = {m: c for c, members in enumerate(sweep_mod.classes(k)) for m in members}
         rng = random.Random(k)
         for _ in range(300):
-            mask = rng.randrange(len(orbits.labels))
+            mask = rng.randrange(len(labels))
             perm = list(range(k))
             rng.shuffle(perm)
-            assert orbits.labels[relabel(k, mask, perm)] == orbits.labels[mask]
+            assert labels[relabel(k, mask, perm)] == labels[mask]
 
     @pytest.mark.parametrize("k", range(6))
     def test_representative_is_least_member(self, k):
-        orbits = sweep_mod.orbit_table(k)
-        assert orbits.reps == sorted(orbits.reps)
-        for c, rep in enumerate(orbits.reps):
-            assert orbits.labels[rep] == c
+        reps = []
+        for members in sweep_mod.classes(k):
+            rep = members[0]
+            assert rep == min(members)
             assert rep == min(relabel(k, rep, perm) for perm in permutations(range(k)))
+            reps.append(rep)
+        assert reps == sorted(reps)
 
     def test_plain_changes_reach_every_order(self):
         for k in range(7):
