@@ -18,6 +18,7 @@ from importlib import import_module
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
+from . import _LAZY
 from .graphs import (
     Graph,
     Graph6Error,
@@ -41,43 +42,34 @@ from .weights import (
     weight_report,
 )
 
-# the names cli reads from the modules that only some commands call, by module:
-# a command that calls one binds its names with _load when it starts, before
-# any fork, and looking one up on cli binds them too
-_DEFERRED = {
-    "lagrangian": ("SimplexPoint", "WeightScheme", "grid_oracle", "lagrangian_maximum",
-                   "objective_value", "support_reduce"),
-    "sweep": ("SweepStats", "fuzz_random", "sweep_all_graphs", "turan_bound_campaign"),
-}
-
-
-def _load(module: str) -> None:
-    """Bind ``module``'s names in _DEFERRED here, keeping any already bound:
-    a caller (the benchmark's tracer, a test) may have replaced one."""
-    loaded = import_module(f".{module}", __package__)
-    for name in _DEFERRED[module]:
-        globals().setdefault(name, getattr(loaded, name))
+# the names of the modules that only some commands call are read as _cli.<name>:
+# a command loads such a module when it first reads one of its names (the
+# per-graph commands in _parse_mode, before they fork), and whatever a caller
+# (the benchmark's tracer, a test) puts on cli is what it calls
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Bind a name of the package's _LAZY table here on its first read, as
+    the package binds it there."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value
 
 
 USAGE_ERROR = 1
 VIOLATION_ERROR = 2
 
 
-def _parse_mode(text: str) -> WeightScheme:
+def _parse_mode(text: str) -> _cli.WeightScheme:
     if text == "clique":
-        return WeightScheme.clique_weighted()
+        return _cli.WeightScheme.clique_weighted()
     if text == "constant":
-        return WeightScheme.constant(1)
+        return _cli.WeightScheme.constant(1)
     if text.startswith("constant:"):
-        return WeightScheme.constant(text.split(":", 1)[1])
+        return _cli.WeightScheme.constant(text.split(":", 1)[1])
     raise ValueError(f"invalid mode {text!r}; expected clique or constant:c")
 
 
@@ -370,7 +362,7 @@ def _cmd_verify(args) -> int:
         lambda idx, rep: [_tsv("verify", idx, rep["n"], rep["total"], rep["bound"], rep["slack"])])
 
 
-def _scheme_dict(scheme: WeightScheme) -> dict:
+def _scheme_dict(scheme: _cli.WeightScheme) -> dict:
     out = {"mode": scheme.mode}
     if scheme.mode == "constant":
         out["constant"] = scheme.c
@@ -378,11 +370,10 @@ def _scheme_dict(scheme: WeightScheme) -> dict:
 
 
 def _cmd_lagrangian(args) -> int:
-    _load("lagrangian")
     scheme = _parse_mode(args.mode)
     return _per_graph(
         args, {"scheme": _scheme_dict(scheme)},
-        lambda idx, g: {"n": g.n, **lagrangian_maximum(g, scheme)._asdict()},
+        lambda idx, g: {"n": g.n, **_cli.lagrangian_maximum(g, scheme)._asdict()},
         lambda idx, rep: [
             f"graph {idx}: maximum {rep['maximum']}",
             f"  support {_join(rep['support'])}",
@@ -395,29 +386,28 @@ def _cmd_lagrangian(args) -> int:
                                _join(rep["support"]), _join(rep["witness"]))])
 
 
-def _start_point(spec_text: str, n: int) -> SimplexPoint:
+def _start_point(spec_text: str, n: int) -> _cli.SimplexPoint:
     if spec_text == "uniform":
-        return SimplexPoint.uniform(n)
+        return _cli.SimplexPoint.uniform(n)
     coords = tuple(_as_exact(t) for t in spec_text.split(","))
     if len(coords) != n:
         raise ValueError(f"start point has {len(coords)} coordinates, graph has {n}")
-    return SimplexPoint(coords)
+    return _cli.SimplexPoint(coords)
 
 
-def _reduce_record(g: Graph, scheme: WeightScheme, start: SimplexPoint) -> dict:
-    final, trace = support_reduce(g, scheme, start)
+def _reduce_record(g: Graph, scheme: _cli.WeightScheme, start: _cli.SimplexPoint) -> dict:
+    final, trace = _cli.support_reduce(g, scheme, start)
     return {
         "n": g.n,
         "start": start,
         "final": final,
-        "objective_start": objective_value(g, scheme, start),
-        "objective_final": objective_value(g, scheme, final),
+        "objective_start": _cli.objective_value(g, scheme, start),
+        "objective_final": _cli.objective_value(g, scheme, final),
         "steps": trace,
     }
 
 
 def _cmd_reduce(args) -> int:
-    _load("lagrangian")
     scheme = _parse_mode(args.mode)
     return _per_graph(
         args, {"scheme": _scheme_dict(scheme)},
@@ -437,11 +427,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _load("lagrangian")
     scheme = _parse_mode(args.mode)
     return _per_graph(
         args, {"scheme": _scheme_dict(scheme), "resolution": args.grid},
-        lambda idx, g: {"n": g.n, "value": grid_oracle(g, scheme, args.grid)},
+        lambda idx, g: {"n": g.n, "value": _cli.grid_oracle(g, scheme, args.grid)},
         lambda idx, rep: [f"graph {idx}: grid maximum {rep['value']} (resolution {args.grid})"],
         lambda idx, rep: [_tsv("oracle", idx, rep["value"])])
 
@@ -456,7 +445,7 @@ _STATS_FIELDS = {
 }
 
 
-def _campaign(args, params: dict, stats: SweepStats, note: str = "") -> int:
+def _campaign(args, params: dict, stats: _cli.SweepStats, note: str = "") -> int:
     """Render the one stats record of a sweep, fuzz or campaign run."""
     header = " ".join([args.command, *(f"{k}={v}" for k, v in params.items())]) + note
     envelope = {"command": args.command, "params": params, "stats": stats}
@@ -471,24 +460,22 @@ def _campaign(args, params: dict, stats: SweepStats, note: str = "") -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _load("sweep")
     if args.jobs < 1:
         raise ValueError(f"job count must be >= 1, got {args.jobs}")
-    stats = sweep_all_graphs(args.n, cap=args.cap, tight_cap=args.tight_cap)
+    stats = _cli.sweep_all_graphs(args.n, cap=args.cap, tight_cap=args.tight_cap)
     return _campaign(args, {"n": args.n}, stats, f": all {stats.graphs_checked} labeled graphs")
 
 
 def _cmd_fuzz(args) -> int:
-    _load("sweep")
     p = _as_exact(args.p)
-    stats = fuzz_random(args.n, p, args.count, args.seed, lagrangian_cap=args.lagrangian_cap)
+    stats = _cli.fuzz_random(args.n, p, args.count, args.seed,
+                             lagrangian_cap=args.lagrangian_cap)
     params = {"n": args.n, "p": p, "count": args.count, "seed": args.seed}
     return _campaign(args, params, stats)
 
 
 def _cmd_campaign(args) -> int:
-    _load("sweep")
-    stats = turan_bound_campaign(args.n, args.r, args.count, args.seed)
+    stats = _cli.turan_bound_campaign(args.n, args.r, args.count, args.seed)
     params = {"n": args.n, "r": args.r, "count": args.count, "seed": args.seed}
     return _campaign(args, params, stats)
 

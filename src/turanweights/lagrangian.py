@@ -7,7 +7,8 @@ a clique: repeatedly shifting all mass of one of two non-adjacent positive
 coordinates onto the other (the one with the larger weighted neighbor sum)
 never decreases f and strictly shrinks the support.  The global maximum is
 therefore the best value over per-clique stationary solutions, which this
-module computes in exact rational arithmetic.
+module computes in exact rational arithmetic, solving each clique's system
+by fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from operator import add, mul
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
 from .cliques import CliqueSet, enumerate_cliques
 from .graphs import Graph, _as_exact, write_graph6
-from .linsolve import solve_linear_system
 from .weights import InvariantViolation, clique_numbers, scaled_weights
 
 STATUS_INTERIOR = "interior-solution"
@@ -250,6 +250,46 @@ class LagrangianOutcome(namedtuple("LagrangianOutcome", "maximum support witness
     def __repr__(self) -> str:
         return (f"LagrangianOutcome(maximum={self.maximum!r}, support={self.support!r}, "
                 f"witness={self.witness!r})")
+
+
+def solve_linear_system(m: list[list[int]]) -> list[Fraction] | None:
+    """Solve the k x (k+1) augmented integer rows ``m``, eliminating them in
+    place; None when no unique solution exists.
+
+    The rows are eliminated fraction-free: with the Bareiss update every
+    intermediate entry stays an exact integer and the division by the
+    previous pivot is exact, which keeps growth polynomial.  Back
+    substitution is fraction-free as well: the last pivot is the determinant
+    D up to sign, so by Cramer's rule D times each unknown is an integer, and
+    one Fraction is built per unknown at the end.
+    """
+    k = len(m)
+    prev = 1
+    for col in range(k):
+        piv = next((r for r in range(col, k) if m[r][col]), None)
+        if piv is None:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        pivot = m[col][col]
+        row_c = m[col]
+        for r in range(col + 1, k):
+            row_r = m[r]
+            factor = row_r[col]
+            for c in range(col + 1, k + 1):
+                row_r[c] = (pivot * row_r[c] - factor * row_c[c]) // prev
+            row_r[col] = 0
+        prev = pivot
+
+    det = prev
+    nums = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = m[i]
+        acc = det * row[k]
+        for j in range(i + 1, k):
+            acc -= row[j] * nums[j]
+        nums[i] = acc // row[i]
+    return [Fraction(num, det) for num in nums]
 
 
 def _clique_stationary(scale: int, mat: Sequence[Sequence[int]], clique: tuple[int, ...]):

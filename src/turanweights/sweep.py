@@ -231,9 +231,9 @@ def sweep_all_graphs(n: int, cap: int = DEFAULT_SWEEP_CAP,
         raise ValueError(f"tight-example cap must be nonnegative, got {tight_cap}")
     if n > SWEEP_MAX_N:
         raise ValueError(
-            f"n={n} exceeds {SWEEP_MAX_N}, the largest n the labeled sweep runs: its orbit "
-            f"table would hold 2^{(n - 1) * (n - 2) // 2} labels; larger n needs a sweep "
-            f"over isomorphism classes")
+            f"n={n} exceeds {SWEEP_MAX_N}, the largest n the labeled sweep runs: its class "
+            f"walk would mark 2^{(n - 1) * (n - 2) // 2} seen flags, one per labeled graph "
+            f"on {n - 1} vertices; larger n needs a sweep over isomorphism classes")
     blocks = _Blocks(n)
     checked = tight = max_total = 0
     tight_highs: list[int] = []
@@ -334,7 +334,13 @@ def turan_bound_campaign(n: int, r: int, count: int, seed: int) -> SweepStats:
             # no draw is taken past the last edge
             kept = [e for e, x in zip(base_edges, coins) if x < half.numerator]
             sub = from_edge_list(n, kept)
-            if not turan_bound_check(sub, r):
+            try:
+                within = turan_bound_check(sub, r)
+            except ValueError as exc:
+                # sub is K_{r+1}-free by construction: the clique search is wrong
+                raise CorollaryViolation(
+                    f"{exc} on subgraph {write_graph6(sub)} of T({n},{r})") from None
+            if not within:
                 raise CorollaryViolation(
                     f"edge bound violated on subgraph {write_graph6(sub)} of T({n},{r})")
             tight = len(kept) == bound

@@ -25,6 +25,7 @@ from turanweights import (
     complete_graph,
     from_edge_list,
     graph_from_mask,
+    parse_graph6,
     sweep_all_graphs,
     turan_graph,
     weight_report,
@@ -249,6 +250,25 @@ class TestViolations:
         assert message.startswith("edge bound violated on subgraph ")
         assert message.endswith(" of T(4,2)")
 
+    def test_campaign_clique_search_disagrees(self, monkeypatch):
+        # every draw is K_3-free by construction, so a clique of size 99 is
+        # the clique search's fault, not the input's
+        import turanweights.weights as weights_mod
+
+        monkeypatch.setattr(weights_mod, "max_clique_size", lambda g: 99)
+        argv = ["campaign", "--n", "6", "--r", "2", "--count", "2", "--seed", "1"]
+        message = violation_message(argv)
+        prefix = "graph contains a clique of size 99 > 2 on subgraph "
+        assert message.startswith(prefix) and message.endswith(" of T(6,2)")
+        g6 = message[len(prefix):-len(" of T(6,2)")]
+        assert parse_graph6(g6).n == 6
+        command = "turanweights " + " ".join(argv)
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err == f"turanweights: invariant-violation: {message}\n  command: {command}\n"
+        code, out, err = run_cli([*argv, "--format", "json"])
+        assert json.loads(err)["error"]["command"] == f"{command} --format json"
+
     def test_reduce_decreasing_step(self, monkeypatch):
         import turanweights.lagrangian as lagrangian_mod
 
@@ -370,8 +390,9 @@ class TestSweepCommand:
         assert code == 1
 
     def test_past_max_n_exit_1(self):
-        message = ("n=10 exceeds 9, the largest n the labeled sweep runs: its orbit table "
-                   "would hold 2^36 labels; larger n needs a sweep over isomorphism classes")
+        message = ("n=10 exceeds 9, the largest n the labeled sweep runs: its class walk "
+                   "would mark 2^36 seen flags, one per labeled graph on 9 vertices; larger n "
+                   "needs a sweep over isomorphism classes")
         code, out, err = run_cli(["sweep", "--n", "10", "--cap", "10"])
         assert (code, out, err) == (1, "", f"turanweights: usage: {message}\n")
         code, out, err = run_cli(["sweep", "--n", "10", "--cap", "10", "--format", "json"])

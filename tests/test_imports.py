@@ -5,8 +5,8 @@ An import that nothing uses still runs at every command's start-up.  Exempt:
 ``from __future__ import annotations``, the names ``__init__`` exports in
 ``__all__``, and imports marked ``# noqa: F401`` (kept for code outside the
 package that looks the name up on the module).  The names that ``__init__``
-and ``cli`` bind on first use are held to the same rules through their
-tables.
+and ``cli`` bind on first use are held to the same rules through the one
+table that says which module defines each, ``turanweights._LAZY``.
 """
 
 import ast
@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 import turanweights
-from turanweights import cli
 
 PACKAGE = Path(turanweights.__file__).parent
 
@@ -69,9 +68,9 @@ def test_the_check_finds_unused_names():
 
 # each command's argv and stdin, and the modules of the package it loads:
 # every command loads cli and the per-graph core, and only the commands
-# that call lagrangian (with linsolve) or sweep load those
+# that call lagrangian or sweep load those
 CORE = ["cli", "cliques", "graphs", "weights"]
-LAGRANGIAN = sorted([*CORE, "lagrangian", "linsolve"])
+LAGRANGIAN = sorted([*CORE, "lagrangian"])
 SWEEP = sorted([*CORE, "sweep"])
 LOADED = {
     "help": (["--help"], "", CORE),
@@ -86,7 +85,7 @@ LOADED = {
     "fuzz-above-lagrangian-cap": (
         ["fuzz", "--n", "20", "--p", "1/2", "--count", "1", "--seed", "0"], "", SWEEP),
     "fuzz-chain": (["fuzz", "--n", "5", "--p", "1/2", "--count", "2", "--seed", "0"], "",
-                   sorted([*SWEEP, "lagrangian", "linsolve"])),
+                   sorted([*SWEEP, "lagrangian"])),
 }
 
 
@@ -117,11 +116,7 @@ def test_each_command_loads_only_the_modules_it_calls(command):
 
 
 def test_lazy_tables_name_names_their_modules_define():
-    tables = {"__init__": turanweights._LAZY.items(),
-              "cli": [(name, module) for module, names in cli._DEFERRED.items()
-                      for name in names]}
-    missing = [(table, name, module) for table, pairs in tables.items()
-               for name, module in pairs
+    missing = [(name, module) for name, module in turanweights._LAZY.items()
                if not hasattr(import_module(f"turanweights.{module}"), name)]
     assert missing == []
     assert sorted(turanweights.__all__) == sorted(turanweights._LAZY)
@@ -143,9 +138,56 @@ def test_every_export_is_its_modules_own_object():
     assert result.stdout == "[]\n"
 
 
-def test_every_deferred_cli_name_is_read():
-    # the rule test_no_unused_import holds the import statements to
+def test_every_name_cli_reads_on_itself_is_in_the_lazy_table():
+    # cli resolves _cli.<name> through _LAZY alone: a name outside it would
+    # raise AttributeError in the command that reads it
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert [name for names in cli._DEFERRED.values() for name in names
-            if name not in used] == []
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "_cli"}
+    assert {"WeightScheme", "lagrangian_maximum", "sweep_all_graphs"} <= read
+    assert sorted(read - set(turanweights._LAZY)) == []
+
+
+# a child that sees two CPUs, runs a per-graph command on three graphs (two
+# ranges, so one forked worker) and reports on stderr each module of the
+# package that a process imports, with its pid, then its own pid and forks
+FORKED = """\
+import json, os, sys
+from turanweights import cli
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("turanweights."):
+            os.write(2, f"import {os.getpid()} {name}\\n".encode())
+        return None
+
+sys.meta_path.insert(0, Recorder())
+os.sched_getaffinity = lambda pid: {0, 1}
+real_fork, forks = os.fork, []
+
+def fork():
+    pid = real_fork()
+    forks.append(pid)
+    return pid
+
+os.fork = fork
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps([os.getpid(), len(forks)]), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the per-graph commands fork only "
+                                                   "where os.fork exists")
+@pytest.mark.parametrize("argv", [["lagrangian"], ["reduce"], ["oracle", "--grid", "2"]],
+                         ids=lambda argv: argv[0])
+def test_no_forked_worker_imports_a_module(argv):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", FORKED, *argv], input="A_\nBw\nC~\n",
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    *lines, last = result.stderr.splitlines()
+    parent, forks = json.loads(last)
+    assert forks == 1
+    imports = [line.split()[1:] for line in lines]  # [pid, module]
+    assert [str(parent), "turanweights.lagrangian"] in imports
+    assert [entry for entry in imports if entry[0] != str(parent)] == []

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 from turanweights import SplitMix64
-from turanweights.linsolve import solve_linear_system
+from turanweights.lagrangian import solve_linear_system
 
 from conftest import naive_solve
 
