@@ -61,6 +61,9 @@ def __getattr__(name: str):
 
 USAGE_ERROR = 1
 VIOLATION_ERROR = 2
+# the largest n gen takes: the graph6 writer holds about 2 bytes per vertex
+# pair, and gen complete 20000 peaks at 484 MB
+GEN_MAX_N = 20_000
 
 
 def _parse_mode(text: str) -> _cli.WeightScheme:
@@ -306,6 +309,8 @@ def _fork_worker(text, start: int, span: list[int]) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
+    if args.n > GEN_MAX_N:
+        raise MemoryError(f"gen n={args.n} exceeds GEN_MAX_N={GEN_MAX_N}")
     if args.kind == "turan":
         g = turan_graph(args.n, args.r)
     elif args.kind == "complete":
@@ -651,7 +656,8 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except (MemoryError, OverflowError):
         # an input whose size header, or a count argument, asks for more
-        # memory than the host has or than a Python sequence can index
+        # memory than the host has, than a Python sequence can index, or
+        # than a stated budget allows (TABLE_MAX_BYTES, GEN_MAX_N, CAMPAIGN_MAX_N)
         _emit_error(json_errors, "usage", "input too large to hold in memory")
         return USAGE_ERROR
     except RecursionError:

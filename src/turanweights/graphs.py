@@ -11,6 +11,11 @@ GRAPH6_MAX_N = 68719476735  # largest vertex count the size header can carry (2^
 # largest edge-list header accepted: the most vertices any command takes
 # (oracle --grid 1); larger headers are refused before anything is allocated
 EDGE_LIST_MAX_N = 5_000_000
+# the most bytes one table of a graph may take, checked in O(m) before the
+# table is built: from_edge_list's bitset rows, each as wide as its vertex's
+# highest neighbour, and lagrangian's weight matrix, n slots per vertex with
+# an edge.  A kilobyte edge list on millions of vertices can ask for gigabytes
+TABLE_MAX_BYTES = 1 << 28
 
 
 def _as_exact(value) -> Fraction:
@@ -90,13 +95,28 @@ def _built(n: int, rows: Iterable[int]) -> Graph:
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from (possibly duplicated or reversed) index pairs."""
-    adj = [0] * n
-    for u, v in edges:
+    """Build a graph from (possibly duplicated or reversed) index pairs.
+
+    Each row is a bitset as wide as its vertex's highest neighbour.  Rows
+    that would take more than TABLE_MAX_BYTES raise MemoryError before any
+    is built.
+    """
+    pairs = list(edges)
+    top: dict[int, int] = {}  # vertex -> its highest neighbour
+    for u, v in pairs:
         if u == v:
             raise ValueError(f"self-loop ({u},{v}) not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if top.get(u, -1) < v:
+            top[u] = v
+        if top.get(v, -1) < u:
+            top[v] = u
+    bits = sum(top.values()) + len(top)
+    if bits > 8 * TABLE_MAX_BYTES:
+        raise MemoryError(f"rows of {bits} bits exceed the budget of {TABLE_MAX_BYTES} bytes")
+    adj = [0] * n
+    for u, v in pairs:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return _built(n, adj)
@@ -342,7 +362,7 @@ def parse_edge_list(text: str) -> Graph:
 
     Tokens may be separated by any whitespace; duplicate and reversed pairs
     are tolerated.  A header with more than EDGE_LIST_MAX_N vertices is
-    refused.
+    refused, and from_edge_list refuses rows past TABLE_MAX_BYTES.
     """
     tokens = text.split()
     if len(tokens) < 2:

@@ -16,14 +16,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import lcm
 from operator import add, mul
 
 from .cliques import edge_clique_number  # noqa: F401 -- perfbench/tracer.py wraps this name here
 from .cliques import CliqueSet, enumerate_cliques
-from .graphs import Graph, _as_exact, write_graph6
+from .graphs import TABLE_MAX_BYTES, Graph, _as_exact, write_graph6
 from .weights import InvariantViolation, clique_numbers, scaled_weights
 
 STATUS_INTERIOR = "interior-solution"
@@ -91,13 +90,14 @@ class SimplexPoint(tuple):
         return int("0" + "".join(["1" if c else "0" for c in reversed(self)]), 2)
 
 
-@lru_cache(maxsize=1)
 def _edge_weights(g: Graph, scheme: WeightScheme) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """(scale, ((u, v, a), ...)): edge uv (u < v, lexicographic) has weight a/scale.
 
     ``scale`` is the lcm of the denominators of the weights present, which
-    keeps the integers small.  Only the last graph+scheme is cached: callers
-    reread a table only on consecutive calls for the same graph.
+    keeps the integers small.  The table is rebuilt on every call, in O(m):
+    the clique scheme reads its r's from weights.clique_numbers, the one
+    per-graph memo, so a graph's cliques are searched once however often
+    its table is built.
     """
     if scheme.mode == "constant":
         return scheme.c.denominator, tuple((u, v, scheme.c.numerator) for u, v in g.edges())
@@ -111,7 +111,13 @@ def _weight_matrix(n: int, edges) -> list[list[int]]:
 
     Vertices without an edge all share one zero row, which nothing writes
     to, so a sparse graph on many vertices does not hold n^2 list slots.
+    The rows of the vertices with an edge take n 8-byte slots each: past
+    TABLE_MAX_BYTES they raise MemoryError before any is built.
     """
+    ends = len({u for u, _, _ in edges}.union([v for _, v, _ in edges]))
+    if 8 * n * ends > TABLE_MAX_BYTES:
+        raise MemoryError(f"{ends} weight rows of {n} slots exceed the budget of "
+                          f"{TABLE_MAX_BYTES} bytes")
     zero = [0] * n
     mat = [zero] * n
     for u, v, a in edges:

@@ -23,6 +23,9 @@ from .weights import (
 
 # n = 10 would need 2^36 seen flags (64 GB), one per graph on 9 vertices
 SWEEP_MAX_N = 9
+# the largest n the edge-bound campaign takes: it holds T(n, r)'s edges as
+# tuples, about 120 bytes each, up to C(n, 2) of them
+CAMPAIGN_MAX_N = 2_000
 
 
 class SweepStats(namedtuple("SweepStats", "n graphs_checked violations min_slack tight_count "
@@ -322,6 +325,8 @@ def turan_bound_campaign(n: int, r: int, count: int, seed: int) -> SweepStats:
         raise ValueError(f"part count must be >= 2, got {r}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if n > CAMPAIGN_MAX_N:
+        raise MemoryError(f"campaign n={n} exceeds CAMPAIGN_MAX_N={CAMPAIGN_MAX_N}")
     base = turan_graph(n, r)
     base_edges = list(base.edges())
     bound = turan_edge_bound(n, r)

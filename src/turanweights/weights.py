@@ -94,8 +94,10 @@ def scaled_weights(rs: Iterable[int]) -> tuple[int, list[int]]:
 @lru_cache(maxsize=1)
 def clique_numbers(g: Graph) -> tuple[int, ...]:
     """``edge_clique_numbers(g.adj)`` as a tuple, kept for the last graph only:
-    a fuzz draw reads them twice, in weight_report and then in the clique
-    scheme's weight table, and no caller goes back to an earlier graph."""
+    the package's one cache.  A fuzz draw reads them twice, in weight_report
+    and then in the clique scheme's weight table, and a reduce record three
+    times, in support_reduce and its two objective_value calls; no caller
+    goes back to an earlier graph."""
     return tuple(edge_clique_numbers(g.adj))
 
 

@@ -48,26 +48,32 @@ def run_cli(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_measured(tmp_path, argv, stdin_text):
+def run_cli_measured(tmp_path, argv, stdin_text, limit_mb=0):
     """Run ``turanweights argv...`` in a child process on stdin_text; return
     (exit code, stdout, stderr, peak RSS in kB).
 
     A small launcher starts the CLI and reads its peak RSS with wait4,
     because a child spawned straight from this process would count this
-    process's peak as its own.
+    process's peak as its own.  A nonzero ``limit_mb`` caps the child's
+    address space, so that a refusal that comes too late fails the test
+    instead of exhausting the host's memory.
     """
     paths = [tmp_path / name for name in ("in.txt", "out.txt", "err.txt")]
     paths[0].write_text(stdin_text)
     launcher = (
-        "import os, subprocess, sys\n"
+        "import os, resource, subprocess, sys\n"
+        "limit = int(sys.argv[4]) << 20\n"
+        "def cap():\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
         "with open(sys.argv[1]) as src, open(sys.argv[2], 'w') as out, "
         "open(sys.argv[3], 'w') as err:\n"
-        "    child = subprocess.Popen([sys.executable, '-m', 'turanweights', *sys.argv[4:]],\n"
-        "                             stdin=src, stdout=out, stderr=err)\n"
+        "    child = subprocess.Popen([sys.executable, '-m', 'turanweights', *sys.argv[5:]],\n"
+        "                             stdin=src, stdout=out, stderr=err,\n"
+        "                             preexec_fn=cap if limit else None)\n"
         "    _, status, usage = os.wait4(child.pid, 0)\n"
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
-    result = subprocess.run([sys.executable, "-c", launcher, *map(str, paths), *argv],
-                            capture_output=True, text=True, timeout=60, check=True)
+    result = subprocess.run([sys.executable, "-c", launcher, *map(str, paths), str(limit_mb),
+                             *argv], capture_output=True, text=True, timeout=60, check=True)
     code, peak_kb = map(int, result.stdout.split())  # ru_maxrss is in kB on Linux
     return code, paths[1].read_text(), paths[2].read_text(), peak_kb
 
@@ -493,6 +499,42 @@ class TestInputHandling:
         assert err == "turanweights: usage: input too large to hold in memory\n"
         assert peak_kb < 40 * 1024
 
+    def test_wide_rows_refused_before_allocating(self, tmp_path):
+        # a star of 20,000 edges on the highest of 5,000,000 vertices: each
+        # leaf's row is 5,000,000 bits wide, about 12.5 GB in all, from
+        # about 270 KB of input
+        text = "5000000 20000\n" + "".join(f"{i} 4999999\n" for i in range(20000))
+        for fmt in ("human", "json"):
+            code, out, err, peak_kb = run_cli_measured(
+                tmp_path, ["verify", "--format", fmt], text, limit_mb=1024)
+            assert (code, out) == (1, "")
+            assert err == ("turanweights: usage: input too large to hold in memory\n"
+                           if fmt == "human" else
+                           '{"error": {"kind": "usage", '
+                           '"message": "input too large to hold in memory"}}\n')
+            assert peak_kb < 100 * 1024
+
+    def test_weight_matrix_refused_before_allocating(self, tmp_path):
+        # 200 disjoint edges on 5,000,000 vertices: 400 matrix rows of
+        # 5,000,000 slots, about 16 GB.  The one-edge input builds its two
+        # rows and is refused at the trace cap; this one must stop sooner
+        argv = ["reduce"]
+        many = "5000000 200\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(200))
+        code, out, err, peak_kb = run_cli_measured(tmp_path, argv, many, limit_mb=2048)
+        assert (code, out, err) == (1, "", "turanweights: usage: input too large to hold "
+                                           "in memory\n")
+        code, _, err, one_kb = run_cli_measured(tmp_path, argv, "5000000 1\n0 1\n")
+        assert code == 1 and "exceeds the cap of 4000000 point coordinates" in err
+        assert peak_kb <= one_kb
+
+    def test_sparse_lagrangian_matrix_bounded(self, tmp_path):
+        # a perfect matching on 40,000 vertices: 60,000 cliques, under the
+        # candidate cap, and a matrix of 40,000 rows of 40,000 slots
+        text = "40000 20000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(20000))
+        code, _, err, peak_kb = run_cli_measured(tmp_path, ["lagrangian"], text, limit_mb=2048)
+        assert code in (0, 1) and err.count("\n") == code
+        assert peak_kb < 200 * 1024
+
     def test_million_vertex_edge_list_verifies(self):
         # the per-row range check must not build an n-bit mask for each of n rows
         result = subprocess.run([sys.executable, "-m", "turanweights", "verify"],
@@ -633,6 +675,23 @@ class TestOversizedArguments:
     ], ids=["empty", "complete", "cycle", "turan-r", "turan-n", "campaign-r"])
     def test_overflow_is_too_large(self, argv):
         assert run_cli(argv) == (1, "", TOO_LARGE)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "empty", "100000"],
+        ["campaign", "--n", "40000", "--r", "2", "--count", "1", "--seed", "1"],
+    ], ids=["gen", "campaign"])
+    def test_past_max_n_refused_before_building(self, tmp_path, argv):
+        # gen empty 100000 would hold about 10 GB of graph6 bits, and the
+        # campaign about 100 GB of T(40000, 2)'s edges
+        start = time.perf_counter()
+        code, out, err, peak_kb = run_cli_measured(tmp_path, argv, "", limit_mb=1024)
+        assert (code, out, err) == (1, "", TOO_LARGE)
+        assert peak_kb < 100 * 1024 and time.perf_counter() - start < 5
+
+    def test_max_n_itself_accepted(self, monkeypatch):
+        monkeypatch.setattr("turanweights.cli.GEN_MAX_N", 5)
+        assert run_cli(["gen", "empty", "5"]) == (0, "D??\n", "")
+        assert run_cli(["gen", "turan", "6", "2"]) == (1, "", TOO_LARGE)
 
     def test_overflow_json(self):
         code, out, err = run_cli(["fuzz", "--n", BIG, "--p", "1/2", "--count", "1",

@@ -26,6 +26,7 @@ from turanweights import (
     turan_graph,
     write_graph6,
 )
+import turanweights.graphs as graphs_mod
 from turanweights.graphs import GRAPH6_MAX_N, _as_exact, _decode_size, _encode_size, turan_part_sizes
 
 from conftest import write_edge_list
@@ -69,6 +70,26 @@ class TestConstruction:
     def test_edges_are_lexicographic(self):
         g = from_edge_list(4, [(2, 3), (0, 2), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
+
+    def test_rows_past_the_table_budget_refused(self, monkeypatch):
+        # a row is as wide as its vertex's highest neighbour, and the budget
+        # counts exactly the bits the built rows hold: 8 + 1 + 5 + 2 = 16
+        monkeypatch.setattr(graphs_mod, "TABLE_MAX_BYTES", 2)
+        g = from_edge_list(8, [(0, 7), (1, 4)])
+        assert sum(row.bit_length() for row in g.adj) == 16
+        with pytest.raises(MemoryError, match="rows of 17 bits exceed the budget of 2 bytes"):
+            from_edge_list(8, [(0, 7), (1, 5)])
+
+    def test_pair_errors_come_before_the_budget(self, monkeypatch):
+        monkeypatch.setattr(graphs_mod, "TABLE_MAX_BYTES", 0)
+        with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for n=3"):
+            from_edge_list(3, [(0, 2), (0, 3)])
+        with pytest.raises(ValueError, match="self-loop"):
+            from_edge_list(3, [(0, 2), (1, 1)])
+
+    def test_edges_read_once(self):
+        g = from_edge_list(4, ((u, u + 1) for u in range(3)))
+        assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestGenerators:

@@ -38,6 +38,7 @@ from turanweights.lagrangian import (
     _side,
     _weight_matrix,
 )
+from turanweights.weights import clique_numbers
 
 from conftest import (
     _solve_clique_stationary,
@@ -709,29 +710,51 @@ class TestMotzkinStrausValue:
         assert motzkin_straus_value(empty_graph(0)) == 0
 
 
-class TestWeightTableCache:
-    """The weight table is cached for one graph: every command rereads it only
-    on consecutive calls for the same graph."""
+class TestCliqueNumberMemo:
+    """The weight table is rebuilt on every call, and reads its clique numbers
+    from weights.clique_numbers, the package's one per-graph memo: each
+    graph's cliques are searched once, however often its table is read."""
 
     GRAPHS = [complete_graph(4), cycle_graph(5), turan_graph(6, 3)]
 
     def test_holds_one_graph(self):
-        _edge_weights.cache_clear()
+        clique_numbers.cache_clear()
         for g in self.GRAPHS:
             grid_oracle(g, CLIQUE, 3)
-        info = _edge_weights.cache_info()
+        info = clique_numbers.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (1, 1, 3)
 
-    def test_reduce_reads_each_table_three_times(self, tmp_path, capsys, monkeypatch):
+    def test_reduce_searches_each_graph_once(self, tmp_path, capsys, monkeypatch):
         # support_reduce and the two objective_value calls of one record; on
         # one CPU, since a forked worker's cache lookups are not this process's
         path = tmp_path / "three.g6"
         path.write_text("".join(write_graph6(g) + "\n" for g in self.GRAPHS))
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
-        _edge_weights.cache_clear()
+        clique_numbers.cache_clear()
         assert main(["reduce", str(path)]) == 0
-        info = _edge_weights.cache_info()
+        info = clique_numbers.cache_info()
         assert (info.misses, info.hits) == (3, 6)
+
+
+class TestWeightMatrixBudget:
+    def test_rows_of_the_vertices_with_an_edge_counted(self, monkeypatch):
+        # two rows of 4 slots, 8 bytes each: the edgeless rows share one zero row
+        monkeypatch.setattr(lagrangian_mod, "TABLE_MAX_BYTES", 64)
+        assert _weight_matrix(4, [(0, 1, 5)]) == [[0, 5, 0, 0], [5, 0, 0, 0], [0] * 4, [0] * 4]
+        with pytest.raises(MemoryError, match="3 weight rows of 4 slots exceed"):
+            _weight_matrix(4, [(0, 1, 5), (1, 2, 5)])
+
+    @pytest.mark.parametrize("call", [
+        lambda g: lagrangian_maximum(g, CLIQUE),
+        lambda g: support_reduce(g, CONST1, SimplexPoint.uniform(g.n)),
+        lambda g: grid_oracle(g, CLIQUE, 2),
+    ], ids=["maximum", "reduce", "oracle"])
+    def test_refused_before_built(self, monkeypatch, call):
+        monkeypatch.setattr(lagrangian_mod, "TABLE_MAX_BYTES", 8 * 6 * 3)
+        path = from_edge_list(6, [(0, 1), (1, 2)])
+        call(path)
+        with pytest.raises(MemoryError):
+            call(from_edge_list(6, [(0, 1), (1, 2), (2, 3)]))
 
 
 class TestGridOracle:

@@ -23,7 +23,7 @@ from turanweights import (
     sweep_all_graphs,
     weight_report,
 )
-from turanweights.lagrangian import _edge_weights
+from turanweights.weights import clique_numbers
 
 HALF = Fraction(1, 2)
 
@@ -108,16 +108,16 @@ def test_keyword_construction_matches_positional():
 
 
 def test_graph_and_scheme_hash_by_value():
-    # both are lru_cache keys of the weight table: a graph rebuilt from its
-    # values must hit the entry its first copy made
+    # a graph keys the clique-number memo: one rebuilt from its values must
+    # hit the entry its first copy made; a scheme compares and hashes by value too
     g, h = complete_graph(4), Graph(4, (14, 13, 11, 7))
     assert g == h and hash(g) == hash(h) == hash((4, (14, 13, 11, 7)))
     assert g != complete_graph(3)
     s, t = WeightScheme("constant", 2), WeightScheme.constant(Fraction(2))
     assert s == t and hash(s) == hash(t) == hash(("constant", Fraction(2)))
     assert s != WeightScheme.constant(3)
-    _edge_weights.cache_clear()
-    assert _edge_weights(g, s) is _edge_weights(h, t)
+    clique_numbers.cache_clear()
+    assert clique_numbers(g) is clique_numbers(h)
 
 
 def test_records_equal_plain_tuples_of_their_fields():

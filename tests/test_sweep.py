@@ -445,3 +445,10 @@ class TestTuranBoundCampaign:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             turan_bound_campaign(6, 2, 0, seed=0)
+
+    def test_past_max_n_refused_before_building(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "CAMPAIGN_MAX_N", 6)
+        assert turan_bound_campaign(6, 2, 1, seed=0).graphs_checked == 1
+        monkeypatch.setattr(sweep_mod, "turan_graph", None)  # a build would raise TypeError
+        with pytest.raises(MemoryError, match="campaign n=7 exceeds CAMPAIGN_MAX_N=6"):
+            turan_bound_campaign(7, 2, 1, seed=0)
